@@ -169,17 +169,6 @@ void BM_MinPlusConv(benchmark::State& state) {
 }
 BENCHMARK(BM_MinPlusConv)->Range(64, 4096)->Complexity(benchmark::oNSquared);
 
-void BM_MinPlusConvConvexFastPath(benchmark::State& state) {
-  // The standalone convex kernel (increment merge), kept for comparison with
-  // the engine's index-tracked merge above.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const DiscreteCurve f = random_convex(n, 3);
-  const DiscreteCurve g = random_convex(n, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv_convex(f, g));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_MinPlusConvConvexFastPath)->Range(64, 4096)->Complexity(benchmark::oN);
-
 void BM_MinPlusDeconv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const DiscreteCurve f = random_nondecreasing(n, 5);

@@ -140,11 +140,10 @@ void BM_ArrivalExtractGrid(benchmark::State& state) {
 BENCHMARK(BM_ArrivalExtractGrid)->Range(4096, 65536);
 
 // --- Gap-engine ladder -----------------------------------------------------
-// Same trace/grid as BM_ExtractUpperGrid, one bench per engine. All three
-// produce bit-identical curves (pinned by the rmq suite), so the ratios are
+// Same trace/grid as BM_ExtractUpperGrid, one bench per engine. Both
+// produce bit-identical curves (pinned by the rmq suite), so the ratio is
 // pure kernel speedup: per-k oracle scans are O(n·|grid|), the shared index
-// answers each entry by block-bound pruning off one O(n log n) build, the
-// streaming kernel does one fused pass for all entries.
+// answers each entry by block-bound pruning off one O(n log n) build.
 
 void BM_ExtractUpperGridOracle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -155,18 +154,6 @@ void BM_ExtractUpperGridOracle(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ExtractUpperGridOracle)->Range(4096, 65536)->Complexity();
-
-void BM_ExtractUpperGridStreaming(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const trace::DemandTrace d = demand_trace(n, 11);
-  const auto ks = trace::make_kgrid(
-      {.max_k = static_cast<std::int64_t>(n), .dense_limit = 256, .growth = 1.2});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(workload::extract_upper(d, ks, nullptr, nullptr, nullptr,
-                                                     common::GapEngine::Streaming));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ExtractUpperGridStreaming)->Range(4096, 65536)->Complexity();
 
 void BM_ArrivalExtractGridOracle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

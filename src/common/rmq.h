@@ -60,15 +60,10 @@
 // fast results are bit-identical to the oracle, which the rmq-labelled
 // differential suite pins across shapes × grids × threads × budgets.
 //
-// The streaming kernel (streaming_gaps) answers the same grid in ONE
-// forward pass with O(|shifts|) auxiliary memory and no index at all — the
-// budget-bounded path: when a RunPolicy byte budget admits the value array
-// but not the ~n/4 extra bytes of index, extraction falls back to it with
-// bit-identical output. (Both producers feed *non-decreasing* v, so the
-// textbook monotonic-deque sliding-window minimum collapses: the minimum of
-// a window of non-decreasing values is its left endpoint, the deque never
-// holds more than one live candidate, and the "deque" is just the running
-// position in the array.)
+// The oracle needs no memory beyond the value array; the index adds ~n/32
+// bytes of block extrema. When a RunPolicy byte budget admits the value
+// array but not those bytes, Auto answers with the oracle scans instead —
+// identical output, nothing shed.
 //
 // All queries on a const SlidingExtrema are thread-safe (scratch is local),
 // so a thread pool may fan grid entries across workers against one shared
@@ -88,16 +83,15 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "obs/obs.h"
 
 namespace wlc::common {
 
 /// Which kernel answers a gap-extrema grid. Auto picks the shared index for
-/// long traces when any byte budget admits its auxiliary memory, the
-/// streaming kernel when the budget does not, and the plain per-entry scans
-/// below the crossover. Forcing a specific engine is a test/benchmark hook;
-/// every engine is bit-identical on every input.
-enum class GapEngine { Auto, Oracle, SharedIndex, Streaming };
+/// long traces when any byte budget admits its auxiliary memory, and the
+/// plain per-entry scans below the crossover or when the budget does not.
+/// Forcing a specific engine is a test/benchmark hook; every engine is
+/// bit-identical on every input.
+enum class GapEngine { Auto, Oracle, SharedIndex };
 
 template <typename T>
 class SlidingExtrema {
@@ -276,10 +270,6 @@ class SlidingExtrema {
       scanned += std::min(b * kBlockSize + kBlockSize, nj) - b * kBlockSize;
     }
     if (windows_scanned) *windows_scanned += scanned;
-    // Aggregate pruning-effectiveness signal: how much of the trace each
-    // index query actually touched, visible in report/stats next to the
-    // per-run extract.windows_scanned.
-    WLC_COUNTER_ADD("rmq.windows_scanned", scanned);
     return best;
   }
 
@@ -293,76 +283,19 @@ class SlidingExtrema {
 
 /// Auto resolution shared by the extraction call sites: the oracle below
 /// `crossover` values (index build and bound passes cost more than they
-/// prune on short traces), the streaming kernel when an armed byte cap
-/// cannot take the value array plus the index's auxiliary bytes, the shared
-/// index otherwise. `max_resident_bytes <= 0` means uncapped.
+/// prune on short traces) or when an armed byte cap cannot take the value
+/// array plus the index's auxiliary bytes, the shared index otherwise.
+/// `max_resident_bytes <= 0` means uncapped.
 template <typename T>
 GapEngine choose_gap_engine(GapEngine requested, std::int64_t values,
                             std::int64_t max_resident_bytes,
                             std::int64_t crossover = 4096) {
-  GapEngine chosen = requested;
-  if (requested == GapEngine::Auto) {
-    if (values < crossover) {
-      chosen = GapEngine::Oracle;
-    } else if (max_resident_bytes > 0 &&
-               values * static_cast<std::int64_t>(sizeof(T)) +
-                       SlidingExtrema<T>::index_bytes(values) >
-                   max_resident_bytes) {
-      chosen = GapEngine::Streaming;
-    } else {
-      chosen = GapEngine::SharedIndex;
-    }
-  }
-  // Selection counters (requested or auto-resolved alike): which kernel the
-  // extraction stack is actually running with, live in report/stats.
-  switch (chosen) {
-    case GapEngine::Oracle: WLC_COUNTER_ADD("rmq.engine.oracle", 1); break;
-    case GapEngine::Streaming: WLC_COUNTER_ADD("rmq.engine.streaming", 1); break;
-    default: WLC_COUNTER_ADD("rmq.engine.shared", 1); break;
-  }
-  return chosen;
-}
-
-/// The budget-bounded streaming kernel: folds every (j, j+shift) gap for
-/// every tracked shift in ONE ascending pass over `values`, with
-/// O(|shifts|) auxiliary memory and no index. For each shift the windows
-/// are visited in exactly the oracle's ascending-j order, so the reductions
-/// — and the results, bit for bit — match the per-entry scans.
-///
-/// `shifts` must be non-negative and < values.size(); `max_out`/`min_out`
-/// must have shifts.size() slots. `checkpoint`, when given, is polled every
-/// few thousand values.
-template <typename T>
-void streaming_gaps(std::span<const T> values, std::span<const std::int64_t> shifts,
-                    std::span<T> max_out, std::span<T> min_out,
-                    const std::function<void()>* checkpoint = nullptr) {
-  const auto n = static_cast<std::int64_t>(values.size());
-  WLC_REQUIRE(max_out.size() == shifts.size() && min_out.size() == shifts.size(),
-              "streaming_gaps output spans must match the shift grid");
-  std::int64_t total_windows = 0;
-  for (const std::int64_t s : shifts) {
-    WLC_REQUIRE(s >= 0 && s < n, "gap shift must satisfy 0 <= shift < size()");
-    total_windows += n - s;
-  }
-  WLC_COUNTER_ADD("rmq.windows_scanned", total_windows);
-  std::vector<bool> seeded(shifts.size(), false);
-  for (std::int64_t m = 0; m < n; ++m) {
-    if (checkpoint && *checkpoint && (m & 0x1FFF) == 0) (*checkpoint)();
-    const T right = values[static_cast<std::size_t>(m)];
-    for (std::size_t i = 0; i < shifts.size(); ++i) {
-      const std::int64_t s = shifts[i];
-      if (m < s) continue;
-      const T w = right - values[static_cast<std::size_t>(m - s)];
-      if (!seeded[i]) {
-        max_out[i] = w;
-        min_out[i] = w;
-        seeded[i] = true;
-      } else {
-        max_out[i] = std::max(max_out[i], w);
-        min_out[i] = std::min(min_out[i], w);
-      }
-    }
-  }
+  if (requested != GapEngine::Auto) return requested;
+  const bool index_fits =
+      max_resident_bytes <= 0 ||
+      values * static_cast<std::int64_t>(sizeof(T)) + SlidingExtrema<T>::index_bytes(values) <=
+          max_resident_bytes;
+  return values >= crossover && index_fits ? GapEngine::SharedIndex : GapEngine::Oracle;
 }
 
 }  // namespace wlc::common

@@ -206,42 +206,6 @@ DiscreteCurve DiscreteCurve::max_plus_deconv_naive(const DiscreteCurve& f, const
   return DiscreteCurve(std::move(v), f.dt());
 }
 
-DiscreteCurve DiscreteCurve::min_plus_conv_convex(const DiscreteCurve& f, const DiscreteCurve& g) {
-  require_compatible(f, g);
-  WLC_REQUIRE(f[0] == 0.0 && g[0] == 0.0, "slope-merge convolution requires f(0) = g(0) = 0");
-  WLC_REQUIRE(f.is_convex() && g.is_convex(), "slope-merge convolution requires convexity");
-  // (f ⊗ g)(i) minimizes f(i−k) + g(k). For convex curves through the origin
-  // the increments of the result are the ascending merge of the operands'
-  // (non-decreasing) increment sequences: always advance along the curve
-  // whose next increment is cheaper.
-  const std::size_t n = std::min(f.size(), g.size());
-  std::vector<double> v(n);
-  v[0] = 0.0;
-  std::size_t fi = 0;  // consumed increments of f
-  std::size_t gi = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double df = (fi + 1 < f.size()) ? f[fi + 1] - f[fi] : kInf;
-    const double dg = (gi + 1 < g.size()) ? g[gi + 1] - g[gi] : kInf;
-    if (df <= dg) {
-      v[i] = v[i - 1] + df;
-      ++fi;
-    } else {
-      v[i] = v[i - 1] + dg;
-      ++gi;
-    }
-  }
-  return DiscreteCurve(std::move(v), f.dt());
-}
-
-DiscreteCurve DiscreteCurve::min_plus_conv_concave(const DiscreteCurve& f, const DiscreteCurve& g) {
-  require_compatible(f, g);
-  WLC_REQUIRE(f[0] == 0.0 && g[0] == 0.0, "concave rule requires f(0) = g(0) = 0");
-  WLC_REQUIRE(f.is_concave() && g.is_concave(), "concave rule requires concavity");
-  // k ↦ f(i−k) + g(k) is concave, hence minimized at a boundary:
-  // (f ⊗ g)(i) = min(f(i), g(i)).
-  return pointwise_min(f, g);
-}
-
 DiscreteCurve DiscreteCurve::sub_additive_closure() const {
   for (double x : v_) WLC_REQUIRE(x >= 0.0, "closure requires a non-negative curve");
   std::vector<double> g(v_);

@@ -115,17 +115,6 @@ class DiscreteCurve {
   static DiscreteCurve max_plus_conv_naive(const DiscreteCurve& f, const DiscreteCurve& g);
   static DiscreteCurve max_plus_deconv_naive(const DiscreteCurve& f, const DiscreteCurve& g);
 
-  /// Fast (min,+) convolution for CONVEX f, g with f(0)=g(0)=0: the result's
-  /// increment sequence is the ascending merge of the operands' increment
-  /// sequences (classical inf-convolution slope merge). O(n). Cross-checked
-  /// against the O(n²) form in tests.
-  static DiscreteCurve min_plus_conv_convex(const DiscreteCurve& f, const DiscreteCurve& g);
-
-  /// Fast (min,+) convolution for CONCAVE f, g with f(0)=g(0)=0:
-  /// f ⊗ g = min(f, g) pointwise (the split objective is concave in the
-  /// split point, so the optimum sits at an endpoint). O(n).
-  static DiscreteCurve min_plus_conv_concave(const DiscreteCurve& f, const DiscreteCurve& g);
-
   /// Sub-additive closure f* — the largest sub-additive curve below f with
   /// f*(0) = 0: the tightest upper arrival/workload bound derivable from f
   /// by self-composition (f*(a+b) <= f*(a) + f*(b)). Computed by repeated

@@ -71,7 +71,7 @@ DiscreteCurve conv_endpoint(const DiscreteCurve& f, const DiscreteCurve& g,
 // yields the smaller *candidate value* — comparing fl(f[fi+1]+g[gi]) with
 // fl(f[fi]+g[gi+1]) is the increment comparison Δf ≤ Δg in disguise — and
 // emit that candidate directly instead of accumulating increments (which
-// drifts by ulps; cf. the legacy min_plus_conv_convex). Dually, concave
+// drifts by ulps). Dually, concave
 // operands take the larger candidate for the (max,+) conv.
 template <bool kMin>
 DiscreteCurve conv_merge(const DiscreteCurve& f, const DiscreteCurve& g,

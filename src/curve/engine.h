@@ -20,8 +20,8 @@
 // Bit-identity discipline: every fast path emits exactly the expression the
 // oracle evaluates at the optimal split — fl(f[a] + g[b]) or
 // fl(f[i+k] − g[k]) — never an algebraically equal rearrangement (running
-// increment sums drift by ulps; see min_plus_conv_convex for the legacy
-// accumulating form, which is deliberately NOT used here). Shape
+// increment sums drift by ulps, so the slope merge never accumulates
+// increments). Shape
 // classification uses exact (tol = 0) comparisons on the *rounded* sample
 // increments, so the optimality arguments hold for the doubles actually
 // stored, and fl(·) monotonicity (a ≤ b ⇒ fl(a+c) ≤ fl(b+c)) turns

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -62,7 +63,6 @@ struct GaugeImpl {
 struct HistCell {
   explicit HistCell(std::size_t n_buckets) : buckets(n_buckets) {}
   std::vector<std::atomic<std::int64_t>> buckets;  // fixed size: bounds + overflow
-  std::atomic<std::int64_t> count{0};
   std::atomic<std::int64_t> sum{0};
   std::atomic<std::int64_t> min{kMinInit};
   std::atomic<std::int64_t> max{kMaxInit};
@@ -81,7 +81,6 @@ struct HistogramImpl {
   std::vector<std::pair<ThreadState*, std::unique_ptr<HistCell>>> cells;
   // Folded shards of exited threads:
   std::vector<std::int64_t> retired_buckets;
-  std::int64_t retired_count = 0;
   std::int64_t retired_sum = 0;
   std::int64_t retired_min = kMinInit;
   std::int64_t retired_max = kMaxInit;
@@ -130,7 +129,6 @@ struct ThreadState {
       if (h->retired_buckets.empty()) h->retired_buckets.assign(cell.buckets.size(), 0);
       for (std::size_t i = 0; i < cell.buckets.size(); ++i)
         h->retired_buckets[i] += cell.buckets[i].load(std::memory_order_relaxed);
-      h->retired_count += cell.count.load(std::memory_order_relaxed);
       h->retired_sum += cell.sum.load(std::memory_order_relaxed);
       h->retired_min = std::min(h->retired_min, cell.min.load(std::memory_order_relaxed));
       h->retired_max = std::max(h->retired_max, cell.max.load(std::memory_order_relaxed));
@@ -201,11 +199,13 @@ void Histogram::observe(std::int64_t value) {
   HistCell& cell = *ts.hist_cells[impl_->id];
   const auto it = std::lower_bound(impl_->bounds.begin(), impl_->bounds.end(), value);
   const auto bucket = static_cast<std::size_t>(it - impl_->bounds.begin());
-  cell.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
+  // The bucket is bumped last, with release: a snapshot derives the sample
+  // count from the buckets (acquire), so every sample it counts already has
+  // its extrema recorded and [min, max] is never empty when count > 0.
   cell.sum.fetch_add(value, std::memory_order_relaxed);
   bump_min(cell.min, value);
   bump_max(cell.max, value);
+  cell.buckets[bucket].fetch_add(1, std::memory_order_release);
   // Exemplar: keep the span id of the last sample in the slowest bucket seen
   // so far. >= (not >) so repeated samples in the top bucket refresh the id.
   const auto b = static_cast<std::int64_t>(bucket);
@@ -278,16 +278,17 @@ MetricsSnapshot Registry::snapshot() const {
       for (std::size_t i = 0; i < row.counts.size(); ++i) row.counts[i] = h->retired_buckets[i];
     std::int64_t mn = h->retired_min;
     std::int64_t mx = h->retired_max;
-    row.count = h->retired_count;
     row.sum = h->retired_sum;
     for (const auto& [owner, cell] : h->cells) {
       for (std::size_t i = 0; i < row.counts.size(); ++i)
-        row.counts[i] += cell->buckets[i].load(std::memory_order_relaxed);
-      row.count += cell->count.load(std::memory_order_relaxed);
+        row.counts[i] += cell->buckets[i].load(std::memory_order_acquire);
       row.sum += cell->sum.load(std::memory_order_relaxed);
       mn = std::min(mn, cell->min.load(std::memory_order_relaxed));
       mx = std::max(mx, cell->max.load(std::memory_order_relaxed));
     }
+    // Derived, not read: count == Σ counts holds in every snapshot, however
+    // the bucket loads interleave with concurrent observe() calls.
+    row.count = std::accumulate(row.counts.begin(), row.counts.end(), std::int64_t{0});
     row.min = row.count > 0 ? mn : 0;
     row.max = row.count > 0 ? mx : 0;
     row.exemplar_bucket = h->exemplar_bucket.load(std::memory_order_relaxed);
@@ -309,14 +310,13 @@ void Registry::reset_for_testing() {
   }
   for (auto& [name, h] : impl_->histograms) {
     h->retired_buckets.clear();
-    h->retired_count = h->retired_sum = 0;
+    h->retired_sum = 0;
     h->retired_min = kMinInit;
     h->retired_max = kMaxInit;
     h->exemplar_bucket.store(-1, std::memory_order_relaxed);
     h->exemplar_span.store(0, std::memory_order_relaxed);
     for (auto& [owner, cell] : h->cells) {
       for (auto& b : cell->buckets) b.store(0, std::memory_order_relaxed);
-      cell->count.store(0, std::memory_order_relaxed);
       cell->sum.store(0, std::memory_order_relaxed);
       cell->min.store(kMinInit, std::memory_order_relaxed);
       cell->max.store(kMaxInit, std::memory_order_relaxed);

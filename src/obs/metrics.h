@@ -106,7 +106,7 @@ struct MetricsSnapshot {
     std::string name;
     std::vector<std::int64_t> bounds;  ///< ascending upper bounds
     std::vector<std::int64_t> counts;  ///< bounds.size() + 1 (last = overflow)
-    std::int64_t count = 0;
+    std::int64_t count = 0;  ///< Σ counts, by construction
     std::int64_t sum = 0;
     std::int64_t min = 0;  ///< 0 when count == 0
     std::int64_t max = 0;  ///< 0 when count == 0

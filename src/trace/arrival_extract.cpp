@@ -60,8 +60,8 @@ std::vector<TimeSec> spans(const TimestampTrace& ts, std::span<const std::int64_
   for (std::int64_t k : ks)
     WLC_REQUIRE(k >= 1 && k <= n, "span window must fit in the trace");
   std::vector<TimeSec> out(ks.size());
-  // Same poll cadence in all engines and both threading paths: before every
-  // grid entry's scan (plus intra-build polls in the fast engines).
+  // Same poll cadence in both engines and both threading paths: before every
+  // grid entry's scan (plus intra-build polls in the index engine).
   const auto check = [&] {
     if (policy) policy->checkpoint("arrival extraction");
   };
@@ -78,22 +78,6 @@ std::vector<TimeSec> spans(const TimestampTrace& ts, std::span<const std::int64_
   };
   switch (common::choose_gap_engine<TimeSec>(engine, n,
                                              policy ? policy->budget.max_resident_bytes : 0)) {
-    case common::GapEngine::Streaming: {
-      WLC_COUNTER_ADD("arrival.engine.streaming", 1);
-      check();
-      std::vector<std::int64_t> shifts(ks.size());
-      for (std::size_t i = 0; i < ks.size(); ++i) shifts[i] = ks[i] - 1;
-      std::vector<TimeSec> mx(ks.size());
-      std::vector<TimeSec> mn(ks.size());
-      common::streaming_gaps<TimeSec>(ts, shifts, mx, mn, &checkpoint);
-      std::int64_t windows = 0;
-      for (std::size_t i = 0; i < ks.size(); ++i) {
-        windows += n - ks[i] + 1;
-        out[i] = which == Span::Min ? mn[i] : mx[i];
-      }
-      WLC_COUNTER_ADD("arrival.windows_scanned", windows);
-      break;
-    }
     case common::GapEngine::SharedIndex: {
       WLC_COUNTER_ADD("arrival.engine.shared_index", 1);
       const common::SlidingExtrema<TimeSec> index(ts, &checkpoint);

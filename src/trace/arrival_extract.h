@@ -22,13 +22,12 @@
 // Engines. Both span families are gap extrema over the timestamp array at
 // shift k−1, so they share common::SlidingExtrema with the workload
 // extractor: one block-pruned index per spans() call answers the whole
-// grid, with the single-pass streaming kernel as the budget-bounded
-// fallback and the per-k scans retained as the minspans_oracle /
-// maxspans_oracle kernels. Every engine is bit-identical to the oracle —
-// the candidates are the same IEEE subtractions, the reductions are
-// order-independent (validated-ordered inputs, no NaNs) — pinned by the
-// rmq-labelled differential suite. The trailing GapEngine parameter is a
-// test/benchmark hook; leave it Auto.
+// grid, with the per-k scans retained as the minspans_oracle /
+// maxspans_oracle kernels and as the budget-bounded fallback. Every engine
+// is bit-identical to the oracle — the candidates are the same IEEE
+// subtractions, the reductions are order-independent (validated-ordered
+// inputs, no NaNs) — pinned by the rmq-labelled differential suite. The
+// trailing GapEngine parameter is a test/benchmark hook; leave it Auto.
 //
 // Parallel engine. Each grid entry is independent given the shared array
 // (and index), so the overloads taking a common::ThreadPool partition the
@@ -39,12 +38,12 @@
 // Run policy. Every function takes an optional trailing
 // runtime::RunPolicy*; when armed, the scans poll the cancel token /
 // deadline before each grid entry and every few thousand values inside an
-// index build or streaming pass (same cadence serial and pooled, so a trip
+// index build (same cadence serial and pooled, so a trip
 // aborts within one bounded chunk either way). Arrival grids are typically
 // caller-sized, so no budget axis sheds work here — callers wanting a grid
 // budget coarsen the k-grid with runtime::apply_grid_budget first — but an
 // armed resident-byte cap steers Auto away from the index when its
-// auxiliary memory would not fit (streaming fallback, identical output).
+// auxiliary memory would not fit (oracle fallback, identical output).
 #pragma once
 
 #include <span>

@@ -30,8 +30,8 @@ std::vector<Cycles> prefix_sums(const trace::DemandTrace& d, std::size_t n) {
 /// Degrade the analyzed window shrinks to the longest prefix that fits —
 /// the curves then certify that prefix only, which the report states.
 /// (The shared index's auxiliary memory is NOT part of this contract: when
-/// it would not also fit, Auto falls back to the streaming kernel instead
-/// of shedding more events — identical output, see choose_engine.)
+/// it would not also fit, Auto falls back to the oracle scans instead of
+/// shedding more events — identical output, see common::choose_gap_engine.)
 EventCount apply_byte_budget(EventCount n, const runtime::RunPolicy* policy,
                              runtime::DegradationReport* degradation) {
   if (!policy) return n;
@@ -110,10 +110,9 @@ WorkloadCurve extract(const trace::DemandTrace& demands, std::span<const std::in
   if (stats) stats->clamped_ks = grid.clamped;
   std::vector<WorkloadCurve::Point> pts(grid.ks.size() + 1);
   pts[0] = {0, 0};
-  // All engines poll with at least the oracle's cadence (before every grid
-  // entry; the index build and the streaming pass add polls every few
-  // thousand values), so a cancelled run aborts within one bounded chunk
-  // regardless of threading or engine.
+  // Both engines poll with the oracle's cadence (before every grid entry;
+  // the index build adds polls every few thousand values), so a cancelled
+  // run aborts within one bounded chunk regardless of threading or engine.
   const auto check = [&] {
     if (policy) policy->checkpoint("workload extraction");
   };
@@ -130,20 +129,6 @@ WorkloadCurve extract(const trace::DemandTrace& demands, std::span<const std::in
   };
   switch (common::choose_gap_engine<Cycles>(
       engine, n + 1, policy ? policy->budget.max_resident_bytes : 0)) {
-    case common::GapEngine::Streaming: {
-      WLC_COUNTER_ADD("extract.engine.streaming", 1);
-      check();
-      std::vector<Cycles> mx(grid.ks.size());
-      std::vector<Cycles> mn(grid.ks.size());
-      common::streaming_gaps<Cycles>(p, grid.ks, mx, mn, &checkpoint);
-      std::int64_t windows = 0;
-      for (std::size_t gi = 0; gi < grid.ks.size(); ++gi) {
-        windows += n - grid.ks[gi] + 1;
-        pts[gi + 1] = {grid.ks[gi], bound == Bound::Upper ? mx[gi] : mn[gi]};
-      }
-      WLC_COUNTER_ADD("extract.windows_scanned", windows);
-      break;
-    }
     case common::GapEngine::SharedIndex: {
       WLC_COUNTER_ADD("extract.engine.shared_index", 1);
       const common::SlidingExtrema<Cycles> index(p, &checkpoint);

@@ -17,9 +17,9 @@
 // entry — O(n·|grid|). Those per-k scans are retained verbatim as the
 // *_oracle kernels below; the default path now builds one shared
 // common::SlidingExtrema index over the (contiguous, SIMD-friendly) prefix
-// sums and answers every grid entry from it by block-bound pruning, with a
-// single-pass streaming kernel as the budget-bounded fallback when the byte
-// budget admits the prefix array but not the index's auxiliary memory.
+// sums and answers every grid entry from it by block-bound pruning, with the
+// oracle as the budget-bounded fallback when the byte budget admits the
+// prefix array but not the index's auxiliary memory.
 // Every engine is bit-identical to the oracle on every input — same
 // differential discipline the curve engine established — pinned by the
 // rmq-labelled test suite across shapes × grids × threads × budgets. The
@@ -36,15 +36,15 @@
 //
 // Run-policy contract. Every extractor takes an optional
 // wlc::runtime::RunPolicy: checkpoints run between grid entries, every few
-// thousand blocks inside an index build, and every few thousand events
-// inside a streaming pass (and between traces in the batched API), so a
+// thousand blocks inside an index build (and between traces in the
+// batched API), so a
 // cancel/deadline trip aborts within one bounded chunk; the grid-point
 // budget coarsens the k-grid (OnBudget::Degrade — sound, merely less tight)
 // or throws BudgetExceededError (Fail); the resident-byte budget bounds the
 // prefix-sum buffer exactly as before — truncating the analyzed window
 // under Degrade with the certificate scope recorded in the
 // DegradationReport — and additionally steers Auto away from the index when
-// its auxiliary memory would not fit (the streaming fallback, identical
+// its auxiliary memory would not fit (the oracle fallback, identical
 // output, never an error). A null policy reproduces the historical
 // unbounded behavior bit for bit.
 #pragma once

@@ -1,19 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "cli/cli.h"
 #include "common/rng.h"
+#include "test_tmpdir.h"
 #include "trace/io.h"
 
 namespace wlc::cli {
 namespace {
 
-/// Writes a bursty demo trace to a temp file; returns its path.
-std::string write_demo_trace() {
-  const std::string path = ::testing::TempDir() + "wlc_cli_trace.csv";
+/// Writes a bursty demo trace into the test's scratch directory; returns
+/// its path.
+std::string write_demo_trace(const test::TestTmpDir& tmp) {
+  const std::string path = tmp.file("trace.csv");
   common::Rng rng(321);
   trace::EventTrace events;
   double t = 0.0;
@@ -27,24 +28,26 @@ std::string write_demo_trace() {
 }
 
 TEST(Cli, UsageOnBadInvocations) {
+  const test::TestTmpDir tmp;
   std::ostringstream out, err;
   EXPECT_EQ(run({}, out, err), 2);
   EXPECT_NE(err.str().find("usage:"), std::string::npos);
   err.str("");
   EXPECT_EQ(run({"curves"}, out, err), 2);
   err.str("");
-  EXPECT_EQ(run({"frobnicate", write_demo_trace()}, out, err), 2);
+  EXPECT_EQ(run({"frobnicate", write_demo_trace(tmp)}, out, err), 2);
   EXPECT_NE(err.str().find("unknown command"), std::string::npos);
   err.str("");
   EXPECT_EQ(run({"curves", "/nonexistent/file.csv"}, out, err), 2);
   EXPECT_NE(err.str().find("cannot open"), std::string::npos);
   err.str("");
-  EXPECT_EQ(run({"curves", write_demo_trace(), "--dense"}, out, err), 2);  // dangling flag
+  EXPECT_EQ(run({"curves", write_demo_trace(tmp), "--dense"}, out, err), 2);  // dangling flag
 }
 
 TEST(Cli, CurvesSummaryAndExport) {
-  const std::string path = write_demo_trace();
-  const std::string prefix = ::testing::TempDir() + "wlc_cli_out";
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
+  const std::string prefix = tmp.file("out");
   std::ostringstream out, err;
   ASSERT_EQ(run({"curves", path, "--out", prefix}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("WCET"), std::string::npos);
@@ -56,12 +59,11 @@ TEST(Cli, CurvesSummaryAndExport) {
   EXPECT_EQ(header, "k,gamma_l,gamma_u");
   std::ifstream arrival(prefix + ".arrival.csv");
   ASSERT_TRUE(arrival.good());
-  std::remove((prefix + ".gamma.csv").c_str());
-  std::remove((prefix + ".arrival.csv").c_str());
 }
 
 TEST(Cli, SizeBufferReportsBothModels) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   std::ostringstream out, err;
   ASSERT_EQ(run({"size-buffer", path, "--buffer", "10"}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("workload curves"), std::string::npos);
@@ -73,7 +75,8 @@ TEST(Cli, SizeBufferReportsBothModels) {
 }
 
 TEST(Cli, SizeDelayAndSimulate) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   std::ostringstream out, err;
   ASSERT_EQ(run({"size-delay", path, "--deadline-ms", "5"}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("minimum clock"), std::string::npos);
@@ -94,12 +97,13 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(Cli, ExtractIsThreadCountInvariant) {
+  const test::TestTmpDir tmp;
   // The parallel engine promises bit-identical curves at every thread
   // count; at the CLI boundary that means byte-identical stdout and
   // byte-identical exported CSVs between --threads 1 and --threads 4.
   const std::string path = fixture("polling_clean.csv");
-  const std::string p1 = ::testing::TempDir() + "wlc_cli_t1";
-  const std::string p4 = ::testing::TempDir() + "wlc_cli_t4";
+  const std::string p1 = tmp.file("t1");
+  const std::string p4 = tmp.file("t4");
   std::ostringstream out1, err1, out4, err4;
   ASSERT_EQ(run({"extract", path, "--threads", "1", "--out", p1}, out1, err1), 0) << err1.str();
   ASSERT_EQ(run({"extract", path, "--threads", "4", "--out", p4}, out4, err4), 0) << err4.str();
@@ -113,14 +117,11 @@ TEST(Cli, ExtractIsThreadCountInvariant) {
   EXPECT_EQ(s1, s4);
   EXPECT_EQ(slurp(p1 + ".gamma.csv"), slurp(p4 + ".gamma.csv"));
   EXPECT_EQ(slurp(p1 + ".arrival.csv"), slurp(p4 + ".arrival.csv"));
-  for (const std::string& p : {p1, p4}) {
-    std::remove((p + ".gamma.csv").c_str());
-    std::remove((p + ".arrival.csv").c_str());
-  }
 }
 
 TEST(Cli, ExtractAliasesCurvesAndJobsAliasesThreads) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   std::ostringstream out_extract, out_curves, err;
   ASSERT_EQ(run({"extract", path, "--jobs", "2"}, out_extract, err), 0) << err.str();
   ASSERT_EQ(run({"curves", path}, out_curves, err), 0) << err.str();
@@ -174,12 +175,13 @@ TEST(Cli, RejectsFractionalThreadCounts) {
 }
 
 TEST(CliValidate, CleanTraceExitsZero) {
+  const test::TestTmpDir tmp;
   std::ostringstream out, err;
   EXPECT_EQ(run({"validate", fixture("polling_clean.csv")}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("sound"), std::string::npos);
   // Also via the temp-file demo trace, with explicit --strict.
   std::ostringstream out2, err2;
-  EXPECT_EQ(run({"validate", write_demo_trace(), "--strict"}, out2, err2), 0) << err2.str();
+  EXPECT_EQ(run({"validate", write_demo_trace(tmp), "--strict"}, out2, err2), 0) << err2.str();
 }
 
 TEST(CliValidate, StrictRejectsEveryCorruptionFixture) {
@@ -220,12 +222,12 @@ TEST(CliValidate, UsageErrors) {
 }
 
 TEST(Cli, RejectsMalformedTrace) {
-  const std::string path = ::testing::TempDir() + "wlc_cli_bad.csv";
+  const test::TestTmpDir tmp;
+  const std::string path = tmp.file("bad.csv");
   std::ofstream(path) << "not,a,trace\n1,2\n";
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path}, out, err), 2);
   EXPECT_NE(err.str().find("bad trace file"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Cli, ParseErrorsNameTheInputFile) {
@@ -238,15 +240,17 @@ TEST(Cli, ParseErrorsNameTheInputFile) {
 }
 
 TEST(CliRuntime, KeyEqualsValueSyntaxWorks) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--dense=64", "--threads=2"}, out, err), 0) << err.str();
   EXPECT_NE(out.str().find("WCET"), std::string::npos);
 }
 
 TEST(CliRuntime, TimeoutAbortsWithExitSixAndReportsDeadline) {
-  const std::string path = write_demo_trace();
-  const std::string deg = ::testing::TempDir() + "wlc_cli_deg_timeout.json";
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
+  const std::string deg = tmp.file("deg_timeout.json");
   std::ostringstream out, err;
   // 1 µs wall budget: the first checkpoint (command dispatch) trips before
   // any ingestion, deterministically on any machine.
@@ -262,12 +266,12 @@ TEST(CliRuntime, TimeoutAbortsWithExitSixAndReportsDeadline) {
   json << f.rdbuf();
   EXPECT_NE(json.str().find("\"aborted\": \"deadline\""), std::string::npos) << json.str();
   EXPECT_NE(json.str().find("\"degraded\": true"), std::string::npos);
-  std::remove(deg.c_str());
 }
 
 TEST(CliRuntime, TimeoutTripIsVisibleInMetricsSnapshot) {
-  const std::string path = write_demo_trace();
-  const std::string metrics = ::testing::TempDir() + "wlc_cli_runtime_metrics.json";
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
+  const std::string metrics = tmp.file("runtime_metrics.json");
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--timeout=0.000001", "--metrics-out", metrics}, out, err), 6);
   std::ifstream f(metrics);
@@ -275,11 +279,11 @@ TEST(CliRuntime, TimeoutTripIsVisibleInMetricsSnapshot) {
   std::stringstream json;
   json << f.rdbuf();
   EXPECT_NE(json.str().find("runtime.deadline_trips"), std::string::npos) << json.str();
-  std::remove(metrics.c_str());
 }
 
 TEST(CliRuntime, GridBudgetFailExitsSeven) {
-  const std::string path = write_demo_trace();  // 200 events -> grid > 4 points
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);  // 200 events -> grid > 4 points
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--max-grid", "4"}, out, err), 7) << err.str();
   EXPECT_NE(err.str().find("budget exceeded"), std::string::npos);
@@ -287,8 +291,9 @@ TEST(CliRuntime, GridBudgetFailExitsSeven) {
 }
 
 TEST(CliRuntime, GridBudgetDegradeSucceedsAndReports) {
-  const std::string path = write_demo_trace();
-  const std::string deg = ::testing::TempDir() + "wlc_cli_deg_grid.json";
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
+  const std::string deg = tmp.file("deg_grid.json");
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--max-grid", "4", "--on-budget", "degrade",
                  "--degradation-out", deg},
@@ -303,11 +308,11 @@ TEST(CliRuntime, GridBudgetDegradeSucceedsAndReports) {
   json << f.rdbuf();
   EXPECT_NE(json.str().find("\"degraded\": true"), std::string::npos);
   EXPECT_NE(json.str().find("\"aborted\": \"\""), std::string::npos);  // completed, not aborted
-  std::remove(deg.c_str());
 }
 
 TEST(CliRuntime, RowBudgetFailAndDegrade) {
-  const std::string path = write_demo_trace();  // 200 data rows
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);  // 200 data rows
   std::ostringstream out, err;
   EXPECT_EQ(run({"curves", path, "--max-rows", "50"}, out, err), 7) << err.str();
   EXPECT_NE(err.str().find("trace_rows"), std::string::npos);
@@ -320,7 +325,8 @@ TEST(CliRuntime, RowBudgetFailAndDegrade) {
 }
 
 TEST(CliRuntime, UsageErrorsForBadRuntimeFlags) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   for (const std::vector<std::string>& argv : std::vector<std::vector<std::string>>{
            {"curves", path, "--timeout", "abc"},
            {"curves", path, "--timeout", "0"},
@@ -337,7 +343,8 @@ TEST(CliRuntime, UsageErrorsForBadRuntimeFlags) {
 }
 
 TEST(CliRuntime, DegradeModeRejectedWhereNoDegradationPathExists) {
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   for (const char* cmd : {"simulate", "size-buffer", "size-delay", "validate"}) {
     std::ostringstream out, err;
     EXPECT_EQ(run({cmd, path, "--on-budget=degrade"}, out, err), 2) << cmd;
@@ -352,13 +359,15 @@ TEST(CliRuntime, DegradeModeRejectedWhereNoDegradationPathExists) {
 
 TEST(CliRuntime, BudgetFailOnNonDegradableSubcommandExitsSeven) {
   // Fail-mode budgets are legal everywhere; only *degrade* needs a path.
-  const std::string path = write_demo_trace();
+  const test::TestTmpDir tmp;
+  const std::string path = write_demo_trace(tmp);
   std::ostringstream out, err;
   EXPECT_EQ(run({"simulate", path, "--mhz", "100", "--max-rows", "10"}, out, err), 7)
       << err.str();
 }
 
 TEST(CliServe, UsageErrors) {
+  const test::TestTmpDir tmp;
   {
     std::ostringstream out, err;  // serve without --listen
     EXPECT_EQ(run({"serve"}, out, err), 2);
@@ -375,22 +384,22 @@ TEST(CliServe, UsageErrors) {
   }
   {
     std::ostringstream out, err;  // serve takes no trace positional
-    EXPECT_EQ(run({"serve", write_demo_trace(), "--listen", ":0"}, out, err), 2);
+    EXPECT_EQ(run({"serve", write_demo_trace(tmp), "--listen", ":0"}, out, err), 2);
   }
   {
     std::ostringstream out, err;  // serve-client needs --connect and --session
-    EXPECT_EQ(run({"serve-client", write_demo_trace()}, out, err), 2);
+    EXPECT_EQ(run({"serve-client", write_demo_trace(tmp)}, out, err), 2);
     EXPECT_NE(err.str().find("--connect"), std::string::npos);
   }
   {
     std::ostringstream out, err;
-    EXPECT_EQ(run({"serve-client", write_demo_trace(), "--connect", "unix:/tmp/x"},
+    EXPECT_EQ(run({"serve-client", write_demo_trace(tmp), "--connect", "unix:/tmp/x"},
                   out, err), 2);
     EXPECT_NE(err.str().find("--session"), std::string::npos);
   }
   {
     std::ostringstream out, err;  // session ids double as snapshot file stems
-    EXPECT_EQ(run({"serve-client", write_demo_trace(), "--connect", "unix:/tmp/x",
+    EXPECT_EQ(run({"serve-client", write_demo_trace(tmp), "--connect", "unix:/tmp/x",
                    "--session", "../escape"},
                   out, err), 2);
   }

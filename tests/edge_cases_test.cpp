@@ -149,22 +149,18 @@ TEST(MpegEdge, GopWithM2AndDeterministicScenes) {
 TEST(ExtractionEdge, EmptyTraceRefusedByOracleAndFastPathsAlike) {
   // An empty demand trace (e.g. every row quarantined upstream) must get
   // the same structured refusal from the per-k oracle and from the shared
-  // sliding-window index / streaming engines — degenerate inputs are not
-  // allowed to pick a different contract per engine.
+  // sliding-window index — degenerate inputs are not allowed to pick a
+  // different contract per engine.
   const trace::DemandTrace empty;
   const std::vector<std::int64_t> ks{1};
   EXPECT_THROW(workload::extract_upper_oracle(empty, ks), wlc::Error);
   EXPECT_THROW(workload::extract_lower_oracle(empty, ks), wlc::Error);
-  for (common::GapEngine eng :
-       {common::GapEngine::SharedIndex, common::GapEngine::Streaming}) {
-    EXPECT_THROW(workload::extract_upper(empty, ks, nullptr, nullptr, nullptr, eng), wlc::Error);
-    EXPECT_THROW(workload::extract_lower(empty, ks, nullptr, nullptr, nullptr, eng), wlc::Error);
-  }
+  const auto index = common::GapEngine::SharedIndex;
+  EXPECT_THROW(workload::extract_upper(empty, ks, nullptr, nullptr, nullptr, index), wlc::Error);
+  EXPECT_THROW(workload::extract_lower(empty, ks, nullptr, nullptr, nullptr, index), wlc::Error);
   const trace::TimestampTrace no_ts;
   EXPECT_THROW(trace::minspans_oracle(no_ts, ks), wlc::Error);
-  for (common::GapEngine eng :
-       {common::GapEngine::SharedIndex, common::GapEngine::Streaming})
-    EXPECT_THROW(trace::minspans(no_ts, ks, nullptr, eng), wlc::Error);
+  EXPECT_THROW(trace::minspans(no_ts, ks, nullptr, index), wlc::Error);
 }
 
 TEST(ExtractionEdge, DuplicateTimestampsYieldZeroSpansOnBothPaths) {
@@ -180,11 +176,8 @@ TEST(ExtractionEdge, DuplicateTimestampsYieldZeroSpansOnBothPaths) {
   const auto ref_min = trace::minspans_oracle(ts, ks);
   const auto ref_max = trace::maxspans_oracle(ts, ks);
   EXPECT_EQ(ref_min[0], 0.0);  // five events share every timestamp
-  for (common::GapEngine eng :
-       {common::GapEngine::SharedIndex, common::GapEngine::Streaming}) {
-    EXPECT_EQ(trace::minspans(ts, ks, nullptr, eng), ref_min);
-    EXPECT_EQ(trace::maxspans(ts, ks, nullptr, eng), ref_max);
-  }
+  EXPECT_EQ(trace::minspans(ts, ks, nullptr, common::GapEngine::SharedIndex), ref_min);
+  EXPECT_EQ(trace::maxspans(ts, ks, nullptr, common::GapEngine::SharedIndex), ref_max);
   // Same through the arrival-curve layer: the curves carry the spans.
   const auto up_ref = trace::extract_upper_arrival(ts, ks, nullptr, common::GapEngine::Oracle);
   const auto up_fast =

@@ -32,6 +32,7 @@
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
+#include "test_tmpdir.h"
 #include "workload/online_extract.h"
 #include "workload/workload_curve.h"
 
@@ -219,15 +220,6 @@ TEST(PwlSnapshotTier, MispairedRoundingIsRejected) {
 // Session lifecycle: adoption, rejection, migration, crash determinism.
 // ---------------------------------------------------------------------------
 
-struct TierDirs {
-  fs::path dir;
-  explicit TierDirs(const char* name) : dir(fs::temp_directory_path() / name) {
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-  }
-  ~TierDirs() { fs::remove_all(dir); }
-};
-
 SessionConfig tier_config(const fs::path& dir) {
   SessionConfig cfg;
   cfg.state_dir = dir.string();
@@ -258,33 +250,33 @@ std::string read_bytes(const fs::path& p) {
 }
 
 TEST(PwlTierLifecycle, SnapshotsAreByteStableAcrossRepeats) {
-  TierDirs dirs("wlc_pwl_tier_stable");
-  SessionManager mgr(tier_config(dirs.dir));
+  const test::TestTmpDir tmp;
+  SessionManager mgr(tier_config(tmp.path()));
   open_and_push(mgr, "s1", 250);
   mgr.snapshot_all();
-  const std::string first = read_bytes(dirs.dir / "s1.wlcs");
+  const std::string first = read_bytes(tmp.path() / "s1.wlcs");
   ASSERT_FALSE(first.empty());
   // Recomputing the tier is deterministic: a second snapshot of the same
   // state — the kill -9 between compaction and persist scenario — writes
   // the identical bytes.
   mgr.snapshot_all();
-  EXPECT_EQ(read_bytes(dirs.dir / "s1.wlcs"), first);
+  EXPECT_EQ(read_bytes(tmp.path() / "s1.wlcs"), first);
   const SessionSnapshot snap = decode_snapshot(first);
   ASSERT_TRUE(snap.tier.has_value());
 }
 
 TEST(PwlTierLifecycle, RecoveryAdoptsASoundTier) {
-  TierDirs dirs("wlc_pwl_tier_adopt");
+  const test::TestTmpDir tmp;
   {
-    SessionManager mgr(tier_config(dirs.dir));
+    SessionManager mgr(tier_config(tmp.path()));
     open_and_push(mgr, "s1", 300);
     mgr.snapshot_all();
   }
-  const SessionSnapshot persisted = decode_snapshot(read_bytes(dirs.dir / "s1.wlcs"));
+  const SessionSnapshot persisted = decode_snapshot(read_bytes(tmp.path() / "s1.wlcs"));
   ASSERT_TRUE(persisted.tier.has_value());
 
   obs::registry().reset_for_testing();
-  SessionManager fresh(tier_config(dirs.dir));
+  SessionManager fresh(tier_config(tmp.path()));
   ASSERT_EQ(fresh.recover(), 1u);
   EXPECT_GE(counter_value("serve.compact.tier_reused"), 1);
   EXPECT_EQ(counter_value("serve.compact.tier_rejected"), 0);
@@ -298,15 +290,15 @@ TEST(PwlTierLifecycle, RecoveryAdoptsASoundTier) {
 }
 
 TEST(PwlTierLifecycle, RecoveryDropsAnUnsoundTierAndRecomputes) {
-  TierDirs dirs("wlc_pwl_tier_unsound");
+  const test::TestTmpDir tmp;
   {
-    SessionManager mgr(tier_config(dirs.dir));
+    SessionManager mgr(tier_config(tmp.path()));
     open_and_push(mgr, "s1", 300);
     mgr.snapshot_all();
   }
   // Forge a structurally valid but *unsound* tier: shift the upper curve
   // below the real γᵘ, breaking dominance while keeping rounding = Up.
-  SessionSnapshot snap = decode_snapshot(read_bytes(dirs.dir / "s1.wlcs"));
+  SessionSnapshot snap = decode_snapshot(read_bytes(tmp.path() / "s1.wlcs"));
   ASSERT_TRUE(snap.tier.has_value());
   std::vector<CompactCurve::Knot> knots = snap.tier->upper.knots();
   for (auto& k : knots) k.y -= 1e6;
@@ -314,13 +306,13 @@ TEST(PwlTierLifecycle, RecoveryDropsAnUnsoundTierAndRecomputes) {
       std::move(knots), snap.tier->upper.dt(), snap.tier->upper.dense_size(),
       CompactRounding::Up, snap.tier->upper.budget(), snap.tier->upper.max_error());
   {
-    std::ofstream out(dirs.dir / "s1.wlcs", std::ios::binary | std::ios::trunc);
+    std::ofstream out(tmp.path() / "s1.wlcs", std::ios::binary | std::ios::trunc);
     const std::string bytes = encode_snapshot(snap);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   obs::registry().reset_for_testing();
-  SessionManager fresh(tier_config(dirs.dir));
+  SessionManager fresh(tier_config(tmp.path()));
   // The session itself is fine — an unsound tier is never a reason to
   // refuse it.
   ASSERT_EQ(fresh.recover(), 1u);
@@ -343,32 +335,32 @@ TEST(PwlTierLifecycle, RecoveryDropsAnUnsoundTierAndRecomputes) {
 }
 
 TEST(PwlTierLifecycle, StructurallyCorruptTierQuarantinesTheWholeSnapshot) {
-  TierDirs dirs("wlc_pwl_tier_quarantine");
+  const test::TestTmpDir tmp;
   {
-    SessionManager mgr(tier_config(dirs.dir));
+    SessionManager mgr(tier_config(tmp.path()));
     open_and_push(mgr, "s1", 200);
     mgr.snapshot_all();
   }
   // Corrupt one byte inside the tier block and re-seal the outer checksum:
   // the inner tier CRC fails, the decode throws, and recovery must
   // quarantine the file — never half-load the session without its tail.
-  std::string payload = payload_of(read_bytes(dirs.dir / "s1.wlcs"));
+  std::string payload = payload_of(read_bytes(tmp.path() / "s1.wlcs"));
   payload[payload.size() - 5] = static_cast<char>(payload[payload.size() - 5] ^ 0x40);
   {
-    std::ofstream out(dirs.dir / "s1.wlcs", std::ios::binary | std::ios::trunc);
+    std::ofstream out(tmp.path() / "s1.wlcs", std::ios::binary | std::ios::trunc);
     const std::string bytes = reseal(std::move(payload));
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  SessionManager fresh(tier_config(dirs.dir));
+  SessionManager fresh(tier_config(tmp.path()));
   EXPECT_EQ(fresh.recover(), 0u);
-  EXPECT_FALSE(fs::exists(dirs.dir / "s1.wlcs"));
-  EXPECT_TRUE(fs::exists(dirs.dir / "s1.wlcs.corrupt"));
+  EXPECT_FALSE(fs::exists(tmp.path() / "s1.wlcs"));
+  EXPECT_TRUE(fs::exists(tmp.path() / "s1.wlcs.corrupt"));
 }
 
 TEST(PwlTierLifecycle, MigrationCarriesTheTierAcrossDaemons) {
-  TierDirs src_dirs("wlc_pwl_tier_mig_src");
-  TierDirs dst_dirs("wlc_pwl_tier_mig_dst");
-  SessionManager src(tier_config(src_dirs.dir));
+  const test::TestTmpDir src_tmp("src");
+  const test::TestTmpDir dst_tmp("dst");
+  SessionManager src(tier_config(src_tmp.path()));
   open_and_push(src, "s1", 280);
   src.snapshot_all();
   std::string bytes;
@@ -377,7 +369,7 @@ TEST(PwlTierLifecycle, MigrationCarriesTheTierAcrossDaemons) {
   ASSERT_TRUE(wire_snap.tier.has_value());
 
   obs::registry().reset_for_testing();
-  SessionManager dst(tier_config(dst_dirs.dir));
+  SessionManager dst(tier_config(dst_tmp.path()));
   const Reply dst_reply = dst.migrate_in(MigrateRequest{bytes});
   ASSERT_TRUE(std::holds_alternative<MigrateOkReply>(dst_reply));
   EXPECT_GE(counter_value("serve.compact.tier_reused"), 1);
@@ -390,14 +382,14 @@ TEST(PwlTierLifecycle, MigrationCarriesTheTierAcrossDaemons) {
 }
 
 TEST(PwlTierLifecycle, TierlessDaemonIgnoresPersistedTiers) {
-  TierDirs dirs("wlc_pwl_tier_off");
+  const test::TestTmpDir tmp;
   {
-    SessionManager mgr(tier_config(dirs.dir));
+    SessionManager mgr(tier_config(tmp.path()));
     open_and_push(mgr, "s1", 220);
     mgr.snapshot_all();
   }
   SessionConfig cfg;
-  cfg.state_dir = dirs.dir.string();  // compact_tier stays false
+  cfg.state_dir = tmp.path().string();  // compact_tier stays false
   SessionManager fresh(cfg);
   ASSERT_EQ(fresh.recover(), 1u);
   std::string bytes;

@@ -1,5 +1,5 @@
 // Differential suite for the shared sliding-window extraction engine
-// (common::SlidingExtrema + streaming_gaps) and the extraction entry points
+// (common::SlidingExtrema) and the extraction entry points
 // built on it: every fast engine must be bit-identical to the retained
 // O(n·|grid|) oracle kernels on every trace shape, grid shape and thread
 // count — the oracle is the spec, the index is only allowed to be faster.
@@ -113,7 +113,7 @@ TEST(RmqDifferential, WorkloadCurvesMatchOracleEverywhere) {
     for (const auto& ks : grids_for(n)) {
       const WorkloadCurve ref_u = workload::extract_upper_oracle(shape.d, ks);
       const WorkloadCurve ref_l = workload::extract_lower_oracle(shape.d, ks);
-      for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex, GapEngine::Streaming}) {
+      for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex}) {
         SCOPED_TRACE(std::string(shape.name) + " |ks|=" + std::to_string(ks.size()) +
                      " engine=" + std::to_string(static_cast<int>(eng)));
         expect_curves_equal(workload::extract_upper(shape.d, ks, nullptr, nullptr, nullptr, eng),
@@ -153,7 +153,7 @@ TEST(RmqDifferential, ArrivalSpansMatchOracleEverywhere) {
       std::erase_if(ks, [&](std::int64_t k) { return k > n; });
       const auto ref_min = trace::minspans_oracle(shape.ts, ks);
       const auto ref_max = trace::maxspans_oracle(shape.ts, ks);
-      for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex, GapEngine::Streaming}) {
+      for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex}) {
         SCOPED_TRACE(std::string(shape.name) + " |ks|=" + std::to_string(ks.size()) +
                      " engine=" + std::to_string(static_cast<int>(eng)));
         EXPECT_EQ(trace::minspans(shape.ts, ks, nullptr, eng), ref_min);
@@ -176,7 +176,7 @@ TEST(RmqDifferential, EmptyTraceRejectedIdenticallyByEveryEngine) {
   const trace::DemandTrace empty;
   const std::vector<std::int64_t> ks{1};
   EXPECT_THROW(workload::extract_upper_oracle(empty, ks), wlc::Error);
-  for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex, GapEngine::Streaming}) {
+  for (GapEngine eng : {GapEngine::Auto, GapEngine::SharedIndex}) {
     EXPECT_THROW(workload::extract_upper(empty, ks, nullptr, nullptr, nullptr, eng), wlc::Error);
     EXPECT_THROW(workload::extract_lower(empty, ks, nullptr, nullptr, nullptr, eng), wlc::Error);
   }
@@ -237,55 +237,47 @@ TEST(SlidingExtremaUnit, EveryShiftMatchesNaiveScansDouble) {
   }
 }
 
-TEST(SlidingExtremaUnit, StreamingKernelMatchesIndex) {
-  std::mt19937_64 rng(5);
-  std::vector<std::int64_t> v(500);
-  std::int64_t acc = 0;
-  for (auto& x : v) x = (acc += static_cast<std::int64_t>(rng() % 900));
-  const common::SlidingExtrema<std::int64_t> idx(v);
-  const std::vector<std::int64_t> shifts{0, 1, 2, 63, 64, 65, 250, 499};
-  std::vector<std::int64_t> mx(shifts.size()), mn(shifts.size());
-  common::streaming_gaps<std::int64_t>(v, shifts, mx, mn);
-  for (std::size_t i = 0; i < shifts.size(); ++i) {
-    EXPECT_EQ(mx[i], idx.max_gap(shifts[i])) << "shift " << shifts[i];
-    EXPECT_EQ(mn[i], idx.min_gap(shifts[i])) << "shift " << shifts[i];
-  }
-}
-
 // ---- engine selection -------------------------------------------------------
 
 TEST(GapEngineChoice, AutoResolvesBySizeAndByteBudget) {
   using common::choose_gap_engine;
   EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Auto, 100, 0), GapEngine::Oracle);
   EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Auto, 100000, 0), GapEngine::SharedIndex);
-  // Cap admits the value array but not the index's auxiliary bytes.
+  // A cap that admits the value array but not the index's auxiliary bytes
+  // resolves to the oracle, which needs nothing beyond the value array.
   const std::int64_t values = 100000;
   const std::int64_t value_bytes = values * static_cast<std::int64_t>(sizeof(Cycles));
   const std::int64_t aux = common::SlidingExtrema<Cycles>::index_bytes(values);
   EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Auto, values, value_bytes + aux - 1),
-            GapEngine::Streaming);
+            GapEngine::Oracle);
   EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Auto, values, value_bytes + aux),
             GapEngine::SharedIndex);
   // Explicit requests are never second-guessed.
   EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Oracle, values, 0), GapEngine::Oracle);
-  EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::Streaming, values, 0), GapEngine::Streaming);
+  EXPECT_EQ(choose_gap_engine<Cycles>(GapEngine::SharedIndex, values, value_bytes),
+            GapEngine::SharedIndex);
 }
 
-TEST(GapEngineChoice, ByteBudgetedExtractionFallsBackToStreamingIdentically) {
+TEST(GapEngineChoice, ByteBudgetedExtractionFallsBackToOracleIdentically) {
   const trace::DemandTrace d = bursty_trace(5000, 17);
   std::vector<std::int64_t> ks;
   for (std::int64_t k = 1; k <= 5000; k *= 3) ks.push_back(k);
   runtime::RunPolicy policy;
   // Enough for the prefix-sum buffer, too tight for buffer + index: Auto
-  // must steer to the streaming kernel and still match the oracle bit for
-  // bit, with no degradation recorded (nothing was shed).
+  // must steer to the oracle and still match it bit for bit, with no
+  // degradation recorded (nothing was shed).
   policy.on_budget = runtime::OnBudget::Degrade;
-  policy.budget.max_resident_bytes =
-      static_cast<std::int64_t>((d.size() + 1) * sizeof(Cycles)) +
-      common::SlidingExtrema<Cycles>::index_bytes(static_cast<std::int64_t>(d.size() + 1)) - 1;
+  const auto values = static_cast<std::int64_t>(d.size() + 1);
+  policy.budget.max_resident_bytes = values * static_cast<std::int64_t>(sizeof(Cycles)) +
+                                     common::SlidingExtrema<Cycles>::index_bytes(values) - 1;
+  ASSERT_EQ(common::choose_gap_engine<Cycles>(GapEngine::Auto, values,
+                                              policy.budget.max_resident_bytes),
+            GapEngine::Oracle);
   runtime::DegradationReport deg;
-  const auto fast = workload::extract_upper(d, ks, nullptr, &policy, &deg);
-  expect_curves_equal(fast, workload::extract_upper_oracle(d, ks));
+  expect_curves_equal(workload::extract_upper(d, ks, nullptr, &policy, &deg),
+                      workload::extract_upper_oracle(d, ks));
+  expect_curves_equal(workload::extract_lower(d, ks, nullptr, &policy, &deg),
+                      workload::extract_lower_oracle(d, ks));
   EXPECT_FALSE(deg.degraded());
 }
 
@@ -315,7 +307,7 @@ TEST(RmqRuntime, PreCancelledPolicyAbortsEveryEngineBeforeResults) {
   token.cancel();
   runtime::RunPolicy policy;
   policy.token = token;
-  for (GapEngine eng : {GapEngine::Oracle, GapEngine::SharedIndex, GapEngine::Streaming}) {
+  for (GapEngine eng : {GapEngine::Oracle, GapEngine::SharedIndex}) {
     SCOPED_TRACE("engine=" + std::to_string(static_cast<int>(eng)));
     EXPECT_THROW(workload::extract_upper(d, ks, nullptr, &policy, nullptr, eng), CancelledError);
     EXPECT_THROW(trace::minspans(timestamps_from(d), ks, &policy, eng), CancelledError);

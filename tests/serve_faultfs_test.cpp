@@ -24,6 +24,7 @@
 #include "common/faultfs.h"
 #include "serve/client.h"
 #include "serve/session.h"
+#include "test_tmpdir.h"
 
 namespace wlc::serve {
 namespace {
@@ -157,9 +158,8 @@ TEST_F(FaultFs, SeededPlansReplayTheIdenticalInjectionSchedule) {
 // degraded to memory-only (visible in describe_sessions), and once the
 // "disk" recovers, snapshot_all persists it and clears the flag.
 TEST_F(FaultFs, EnospcDuringSnapshotDegradesToMemoryOnlyAndRecovers) {
-  const auto dir = std::filesystem::temp_directory_path() / "wlc_faultfs_enospc";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test::TestTmpDir tmp;
+  const auto& dir = tmp.path();
   std::ostringstream log;
   SessionConfig cfg;
   cfg.state_dir = dir.string();
@@ -192,7 +192,6 @@ TEST_F(FaultFs, EnospcDuringSnapshotDegradesToMemoryOnlyAndRecovers) {
   infos = mgr.describe_sessions();
   EXPECT_FALSE(infos[0].memory_only);
   EXPECT_TRUE(std::filesystem::exists(dir / "enospc-s.wlcs"));
-  std::filesystem::remove_all(dir);
 }
 
 #else  // WLC_FAULT_DISABLE

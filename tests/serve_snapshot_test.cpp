@@ -20,6 +20,7 @@
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/wire.h"
+#include "test_tmpdir.h"
 #include "workload/online_extract.h"
 
 namespace wlc::serve {
@@ -170,8 +171,8 @@ TEST(ServeSnapshot, InconsistentStateIsRejectedBySemanticValidation) {
 }
 
 TEST(ServeSnapshot, FileRoundTripAndMissingFile) {
-  const auto dir = std::filesystem::temp_directory_path() / "wlc_snap_test";
-  std::filesystem::create_directories(dir);
+  const test::TestTmpDir tmp;
+  const auto& dir = tmp.path();
   const std::string path = (dir / "s.wlcs").string();
   const SessionSnapshot snap = demo_snapshot(80);
   std::string err;
@@ -181,7 +182,6 @@ TEST(ServeSnapshot, FileRoundTripAndMissingFile) {
   EXPECT_EQ(back.extractor.events, snap.extractor.events);
   EXPECT_FALSE(read_snapshot_file((dir / "absent.wlcs").string(), &back, &err));
   EXPECT_FALSE(err.empty());
-  std::filesystem::remove_all(dir);
 }
 
 // The quarantine contract end to end: a corrupt *.wlcs present at startup
@@ -190,9 +190,8 @@ TEST(ServeSnapshot, FileRoundTripAndMissingFile) {
 // Open with the same session id is admitted as a brand-new session at
 // cursor 0, not resumed into half-loaded state.
 TEST(ServeSnapshot, CorruptSnapshotIsQuarantinedNamedInLogAndIdRestartsAtZero) {
-  const auto dir = std::filesystem::temp_directory_path() / "wlc_snap_quarantine";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test::TestTmpDir tmp;
+  const auto& dir = tmp.path();
   std::string bytes = encode_snapshot(demo_snapshot(80));  // id "sess-1"
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
   const std::string path = (dir / "sess-1.wlcs").string();
@@ -226,7 +225,6 @@ TEST(ServeSnapshot, CorruptSnapshotIsQuarantinedNamedInLogAndIdRestartsAtZero) {
   ASSERT_NE(ok, nullptr);
   EXPECT_FALSE(ok->resumed);
   EXPECT_EQ(ok->events_seen, 0);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeSnapshot, Crc32MatchesKnownVector) {

@@ -7,8 +7,6 @@
 // monitor thread, reactor thread and test thread must be clean together.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +23,7 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "test_tmpdir.h"
 
 namespace wlc::serve {
 namespace {
@@ -33,7 +32,7 @@ namespace {
 /// Unlike the end-to-end fixture this one takes a whole ServerConfig, so
 /// tests can arm the request log, the watchdog and the frame hook.
 struct ObservedDaemon {
-  std::filesystem::path dir;
+  test::TestTmpDir dir;
   std::string sock;
   runtime::CancelToken stop = runtime::CancelToken::make();
   std::ostringstream log;
@@ -41,11 +40,8 @@ struct ObservedDaemon {
   std::thread thread;
   int run_result = -1;
 
-  explicit ObservedDaemon(const std::string& name, ServerConfig cfg = {}) {
-    dir = std::filesystem::temp_directory_path() /
-          ("wlc_srv_obs_" + name + "_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    sock = (dir / "s").string();
+  explicit ObservedDaemon(const std::string& name, ServerConfig cfg = {}) : dir(name) {
+    sock = dir.file("s");
     cfg.listen = "unix:" + sock;
     cfg.poll_timeout_ms = 5;
     cfg.snapshot_interval = std::chrono::milliseconds(0);
@@ -72,8 +68,6 @@ struct ObservedDaemon {
       thread.join();
     }
     server.reset();
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
   }
 };
 
@@ -140,10 +134,9 @@ TEST(ServeStats, StatsFrameAnswersQuantilesPoolAndSessions) {
 TEST(ServeStats, RequestLogWritesOneRecordPerFrame) {
   obs::registry().reset_for_testing();
   ServerConfig cfg;
-  const auto log_path = std::filesystem::temp_directory_path() /
-                        ("wlc_reqlog_" + std::to_string(::getpid()) + ".jsonl");
-  std::filesystem::remove(log_path);
-  cfg.request_log.path = log_path.string();
+  const test::TestTmpDir tmp;
+  const std::string log_path = tmp.file("reqlog.jsonl");
+  cfg.request_log.path = log_path;
   {
     ObservedDaemon daemon("reqlog", cfg);
     push_demo_session("unix:" + daemon.sock, "log-sess", 5);
@@ -173,17 +166,13 @@ TEST(ServeStats, RequestLogWritesOneRecordPerFrame) {
     EXPECT_EQ(line.back(), '}');
     EXPECT_NE(line.find("\"latency_us\":"), std::string::npos);
   }
-  std::filesystem::remove(log_path);
 }
 
 TEST(ServeStats, RequestLogRotatesPastSizeCapAndHonorsSlowThreshold) {
   obs::registry().reset_for_testing();
   ServerConfig cfg;
-  const auto base = std::filesystem::temp_directory_path() /
-                    ("wlc_reqlog_rot_" + std::to_string(::getpid()));
-  const std::string log_path = base.string() + ".jsonl";
-  std::filesystem::remove(log_path);
-  std::filesystem::remove(log_path + ".1");
+  const test::TestTmpDir tmp;
+  const std::string log_path = tmp.file("reqlog.jsonl");
   cfg.request_log.path = log_path;
   cfg.request_log.max_bytes = 256;  // a couple of records per generation
   {
@@ -204,13 +193,10 @@ TEST(ServeStats, RequestLogRotatesPastSizeCapAndHonorsSlowThreshold) {
       EXPECT_EQ(line.back(), '}');
     }
   }
-  std::filesystem::remove(log_path);
-  std::filesystem::remove(log_path + ".1");
 
   // slow_us filters fast frames out entirely.
   ServerConfig slow_cfg;
-  const std::string slow_path = base.string() + ".slow.jsonl";
-  std::filesystem::remove(slow_path);
+  const std::string slow_path = tmp.file("slow.jsonl");
   slow_cfg.request_log.path = slow_path;
   slow_cfg.request_log.slow_us = std::int64_t{60} * 1000 * 1000;  // nothing is that slow
   {
@@ -225,7 +211,6 @@ TEST(ServeStats, RequestLogRotatesPastSizeCapAndHonorsSlowThreshold) {
   ASSERT_TRUE(f.good());  // the file exists (the log was enabled)...
   std::string any;
   EXPECT_FALSE(static_cast<bool>(std::getline(f, any)));  // ...but kept nothing
-  std::filesystem::remove(slow_path);
 }
 
 TEST(ServeStats, WatchdogDetectsInjectedReactorStall) {

@@ -6,9 +6,8 @@
 // inputs (every rung is bit-identical; only the route differs — see
 // docs/architecture.md, "Curve algebra & dispatch"). tools/run_benchmarks.sh
 // records these as BENCH_curve_ops.json. The PWL-compaction benches time the
-// bounded-error knot tier (10⁶-point fit/expand, knot kernels vs the dense
-// fast path on identical operands); the PWL and sup-diff benches cover the
-// remaining hot evaluation paths.
+// bounded-error knot tier (10⁶-point fit/expand); the PWL and sup-diff
+// benches cover the remaining hot evaluation paths.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -202,9 +201,8 @@ DiscreteCurve sawtooth(std::size_t n, double ramp, double amp, std::size_t perio
 }
 
 // Convex staircase-of-slopes: slope changes only every n/segs samples, so an
-// exact (eps = 0) compaction keeps ~segs knots out of n points. This is the
-// operand class where the knot kernels earn their keep: the dense fast path
-// is O(n) in samples, compact_conv_merge is O(k) in knots.
+// exact (eps = 0) compaction keeps ~segs knots out of n points, while the
+// dense fast path stays O(n) in samples.
 DiscreteCurve blocky_convex(std::size_t n, std::size_t segs, std::uint64_t seed) {
   common::Rng rng(seed);
   std::vector<double> v{0.0};
@@ -251,23 +249,6 @@ void BM_BlockyConvexMinPlusConv_DenseFastPath(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(DiscreteCurve::min_plus_conv(f, g));
 }
 BENCHMARK(BM_BlockyConvexMinPlusConv_DenseFastPath)->Arg(4096)->Arg(16384)->Arg(65536);
-
-void BM_BlockyConvexMinPlusConv_CompactKnots(benchmark::State& state) {
-  // Same operands as the dense twin above, exactly (eps = 0) compacted; the
-  // knot-merge kernel runs on ~64 knots regardless of n.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const curve::CompactBudget exact{};
-  const curve::CompactCurve cf =
-      curve::CompactCurve::compact_upper(blocky_convex(n, 64, 9), exact);
-  const curve::CompactCurve cg =
-      curve::CompactCurve::compact_upper(blocky_convex(n, 64, 10), exact);
-  set_engine(/*fast_paths=*/true, /*use_cache=*/false);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        engine::apply_compact(curve::CurveOp::MinPlusConv, cf, cg));
-  state.counters["knots_f"] = static_cast<double>(cf.size());
-}
-BENCHMARK(BM_BlockyConvexMinPlusConv_CompactKnots)->Arg(4096)->Arg(16384)->Arg(65536);
 
 void BM_PwlEvalPeriodic(benchmark::State& state) {
   const PwlCurve stairs = PwlCurve::staircase(1.0, 2.0, 3.0, 3.0);

@@ -40,44 +40,7 @@ CompactCurve::CompactCurve(std::vector<Knot> knots, double dt, std::uint64_t n,
       n_(n),
       rounding_(rounding),
       budget_(budget),
-      max_error_(max_error) {
-  // Continuity + knot-level shape, once per curve (the engine dispatches on
-  // these; see knot_shape()). Exact comparisons, same discipline as
-  // DiscreteCurve::shape.
-  continuous_ = true;
-  non_decreasing_ = true;
-  for (std::size_t k = 0; k + 1 < knots_.size(); ++k) {
-    const double end = eval_with(knots_[k].y, knots_[k].slope, grid_x(knots_[k].i, dt_),
-                                 grid_x(knots_[k + 1].i, dt_));
-    if (end != knots_[k + 1].y) continuous_ = false;
-    if (end > knots_[k + 1].y) non_decreasing_ = false;  // downward jump
-  }
-  for (const Knot& kn : knots_)
-    if (kn.slope < 0.0) non_decreasing_ = false;
-  if (!continuous_) {
-    shape_ = DiscreteCurve::Shape::General;
-    return;
-  }
-  bool all_zero = true, all_equal = true, non_dec = true, non_inc = true;
-  for (std::size_t k = 0; k < knots_.size(); ++k) {
-    if (knots_[k].slope != 0.0) all_zero = false;
-    if (knots_[k].slope != knots_[0].slope) all_equal = false;
-    if (k > 0) {
-      if (knots_[k].slope < knots_[k - 1].slope) non_dec = false;
-      if (knots_[k].slope > knots_[k - 1].slope) non_inc = false;
-    }
-  }
-  if (all_zero)
-    shape_ = DiscreteCurve::Shape::Constant;
-  else if (all_equal)
-    shape_ = DiscreteCurve::Shape::Affine;
-  else if (non_dec)
-    shape_ = DiscreteCurve::Shape::Convex;
-  else if (non_inc)
-    shape_ = DiscreteCurve::Shape::Concave;
-  else
-    shape_ = DiscreteCurve::Shape::General;
-}
+      max_error_(max_error) {}
 
 CompactCurve CompactCurve::compact(const DiscreteCurve& c, const CompactBudget& budget,
                                    CompactRounding rounding) {

@@ -1,8 +1,8 @@
 // Bounded-error piecewise-linear compaction of dense discrete curves.
 //
-// Long traces produce DiscreteCurves with millions of samples; every
-// downstream operator — the §3.1/§3.2 algebra, the OpCache, serve
-// snapshots — pays per point. CompactCurve re-represents such a curve as a
+// Long traces produce DiscreteCurves with millions of samples, and storing
+// or shipping them (`wlc_analyze compact` output, serve snapshots) pays per
+// point. CompactCurve re-represents such a curve as a
 // short knot list (grid-anchored PWL segments) fitted greedily within a
 // user-set absolute + relative error budget, with *one-sided* rounding:
 //
@@ -22,11 +22,9 @@
 // this.
 //
 // Knots sit on the dense grid (stored as sample indices, never as raw x),
-// which is what makes the knot-level algebra in the engine sound: a PWL
-// function with grid-aligned knots is linear between grid points, so the
-// grid-restricted (min,+)/(max,+) optima coincide with the continuous PWL
-// optima and knot-level kernels agree with the dense semantics (see
-// engine.h "Compact dispatch" and docs/architecture.md "PWL tiering").
+// so expand() re-densifies onto the original grid exactly. CompactCurve is
+// a representation only: the (min,+)/(max,+) algebra runs on the dense
+// curves through engine::apply (see docs/architecture.md "PWL tiering").
 //
 // Segments are (index, y, slope) triples; segment k owns [x_k, x_{k+1})
 // (the last owns through the horizon). Evaluation at a knot position
@@ -53,7 +51,6 @@ struct CompactBudget {
   double eps_rel = 0.0;
 
   bool zero() const { return eps_abs == 0.0 && eps_rel == 0.0; }
-  bool enabled() const { return !zero(); }
   double at(double v) const { return eps_abs + eps_rel * (v < 0 ? -v : v); }
 };
 
@@ -115,20 +112,6 @@ class CompactCurve {
     return static_cast<double>(n_) / static_cast<double>(knots_.size());
   }
 
-  /// Shape of the PWL function the knots define, classified on the stored
-  /// slopes with exact comparisons (the same discipline as
-  /// DiscreteCurve::shape). A curve whose repair introduced a knot
-  /// discontinuity reports General — the knot-level kernels require the
-  /// continuous convex/concave arguments. Computed once at construction
-  /// (O(k)), so reads are trivially thread-safe.
-  DiscreteCurve::Shape knot_shape() const { return shape_; }
-  /// True when every knot joins the previous segment's end value exactly.
-  bool continuous() const { return continuous_; }
-  /// True when the PWL never decreases: all slopes ≥ 0 and every knot jump
-  /// (repair discontinuity) points upward. Valid with or without
-  /// continuity — the deconv-constant kernel keys off this.
-  bool non_decreasing() const { return non_decreasing_; }
-
   bool operator==(const CompactCurve& o) const {
     return n_ == o.n_ && dt_ == o.dt_ && rounding_ == o.rounding_ &&
            knots_.size() == o.knots_.size() && [&] {
@@ -153,9 +136,6 @@ class CompactCurve {
   CompactRounding rounding_;
   CompactBudget budget_;
   double max_error_;
-  DiscreteCurve::Shape shape_;
-  bool continuous_;
-  bool non_decreasing_;
 };
 
 }  // namespace wlc::curve

@@ -237,16 +237,13 @@ void set_config(const Config& cfg) {
 }
 
 DispatchStats dispatch_stats() {
-  DispatchStats s{g_fast_count.load(std::memory_order_relaxed),
-                  g_dense_count.load(std::memory_order_relaxed), 0, 0};
-  detail::compact_counts(s.compact_knot, s.compact_expand);
-  return s;
+  return DispatchStats{g_fast_count.load(std::memory_order_relaxed),
+                       g_dense_count.load(std::memory_order_relaxed)};
 }
 
 void reset_stats_for_testing() {
   g_fast_count.store(0, std::memory_order_relaxed);
   g_dense_count.store(0, std::memory_order_relaxed);
-  detail::reset_compact_counts();
 }
 
 // ---- dense fallback kernels -------------------------------------------------

@@ -31,28 +31,6 @@ std::size_t entry_bytes(std::size_t n) {
   return n * sizeof(double) + 128;
 }
 
-// Compact fingerprints cover everything that identifies the PWL form —
-// knot bytes, grid, rounding side, budget — with a domain-separation word
-// so a compact key can never collide with the dense key of the same curve.
-std::uint64_t fingerprint_compact(const CompactCurve& c, std::uint64_t seed) {
-  std::uint64_t h = mix(seed, 0xC0339AC7C0339AC7ULL);
-  h = mix(h, c.dense_size());
-  h = mix(h, std::bit_cast<std::uint64_t>(c.dt()));
-  h = mix(h, static_cast<std::uint64_t>(c.rounding()));
-  h = mix(h, std::bit_cast<std::uint64_t>(c.budget().eps_abs));
-  h = mix(h, std::bit_cast<std::uint64_t>(c.budget().eps_rel));
-  for (const CompactCurve::Knot& k : c.knots()) {
-    h = mix(h, k.i);
-    h = mix(h, std::bit_cast<std::uint64_t>(k.y));
-    h = mix(h, std::bit_cast<std::uint64_t>(k.slope));
-  }
-  return h;
-}
-
-std::size_t compact_entry_bytes(std::size_t knot_count) {
-  return knot_count * sizeof(CompactCurve::Knot) + 192;
-}
-
 }  // namespace
 
 std::size_t OpCache::KeyHash::operator()(const Key& k) const noexcept {
@@ -66,15 +44,6 @@ OpCache::Key OpCache::make_key(CurveOp op, const DiscreteCurve& f,
                                const DiscreteCurve& g) {
   return Key{fingerprint(f, 0x1234567890abcdefULL), fingerprint(f, 0xfedcba0987654321ULL),
              fingerprint(g, 0x1234567890abcdefULL), fingerprint(g, 0xfedcba0987654321ULL),
-             static_cast<std::uint8_t>(op)};
-}
-
-OpCache::Key OpCache::make_compact_key(CurveOp op, const CompactCurve& f,
-                                       const CompactCurve& g) {
-  return Key{fingerprint_compact(f, 0x1234567890abcdefULL),
-             fingerprint_compact(f, 0xfedcba0987654321ULL),
-             fingerprint_compact(g, 0x1234567890abcdefULL),
-             fingerprint_compact(g, 0xfedcba0987654321ULL),
              static_cast<std::uint8_t>(op)};
 }
 
@@ -121,42 +90,7 @@ std::size_t OpCache::insert(CurveOp op, const DiscreteCurve& f, const DiscreteCu
     return 0;
   }
   const std::size_t evicted = evict_to_fit_locked(bytes);
-  lru_.push_front(Entry{key, result.values(), result.dt(), bytes, std::nullopt});
-  index_.emplace(key, lru_.begin());
-  resident_bytes_ += bytes;
-  ++inserts_;
-  return evicted;
-}
-
-std::optional<CompactCurve> OpCache::lookup_compact(CurveOp op, const CompactCurve& f,
-                                                    const CompactCurve& g) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (capacity_bytes_ == 0) {
-    ++misses_;
-    return std::nullopt;
-  }
-  const auto it = index_.find(make_compact_key(op, f, g));
-  if (it == index_.end() || !it->second->compact) {
-    ++misses_;
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  return *it->second->compact;
-}
-
-std::size_t OpCache::insert_compact(CurveOp op, const CompactCurve& f,
-                                    const CompactCurve& g, const CompactCurve& result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t bytes = compact_entry_bytes(result.size());
-  if (capacity_bytes_ == 0 || bytes > capacity_bytes_) return 0;
-  const Key key = make_compact_key(op, f, g);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return 0;
-  }
-  const std::size_t evicted = evict_to_fit_locked(bytes);
-  lru_.push_front(Entry{key, {}, result.dt(), bytes, result});
+  lru_.push_front(Entry{key, result.values(), result.dt(), bytes});
   index_.emplace(key, lru_.begin());
   resident_bytes_ += bytes;
   ++inserts_;

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include "common/json.h"
 #include "obs/span.h"
 
 #include <algorithm>
@@ -333,31 +334,6 @@ std::span<const std::int64_t> default_latency_bounds_us() {
 
 namespace {
 
-/// Minimal JSON string escaper; metric names are code-controlled but quote
-/// and control characters must still never break the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 void json_int_array(std::ostringstream& os, const std::vector<std::int64_t>& v) {
   os << '[';
   for (std::size_t i = 0; i < v.size(); ++i) os << (i ? "," : "") << v[i];
@@ -406,16 +382,16 @@ std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
   os << "{\n  \"schema_version\": " << kSchemaVersion << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i)
-    os << (i ? "," : "") << "\n    \"" << json_escape(counters[i].name)
+    os << (i ? "," : "") << "\n    \"" << common::json_escape(counters[i].name)
        << "\": " << counters[i].value;
   os << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i)
-    os << (i ? "," : "") << "\n    \"" << json_escape(gauges[i].name) << "\": {\"value\": "
+    os << (i ? "," : "") << "\n    \"" << common::json_escape(gauges[i].name) << "\": {\"value\": "
        << gauges[i].value << ", \"max\": " << gauges[i].max << "}";
   os << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramRow& h = histograms[i];
-    os << (i ? "," : "") << "\n    \"" << json_escape(h.name) << "\": {\"bounds\": ";
+    os << (i ? "," : "") << "\n    \"" << common::json_escape(h.name) << "\": {\"bounds\": ";
     json_int_array(os, h.bounds);
     os << ", \"counts\": ";
     json_int_array(os, h.counts);

@@ -1,11 +1,11 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/json.h"
 #include "obs/obs.h"
 
 namespace wlc::runtime {
@@ -99,39 +99,11 @@ std::string DegradationReport::to_string() const {
   return os.str();
 }
 
-namespace {
-
-/// Minimal JSON string escaper (actions are library-authored, but a trace
-/// path quoted inside one could carry quotes or backslashes).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string DegradationReport::to_json() const {
   std::ostringstream os;
   os << "{\n"
      << "  \"degraded\": " << (degraded() ? "true" : "false") << ",\n"
-     << "  \"aborted\": \"" << json_escape(aborted) << "\",\n"
+     << "  \"aborted\": \"" << common::json_escape(aborted) << "\",\n"
      << "  \"grid_points\": {\"requested\": " << grid_points_requested
      << ", \"used\": " << grid_points_used << "},\n"
      << "  \"rows\": {\"requested\": " << rows_requested << ", \"used\": " << rows_used << "},\n"
@@ -139,7 +111,7 @@ std::string DegradationReport::to_json() const {
      << ", \"analyzed\": " << events_analyzed << "},\n"
      << "  \"actions\": [";
   for (std::size_t i = 0; i < actions.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(actions[i]) << "\"";
+    os << (i ? ", " : "") << "\"" << common::json_escape(actions[i]) << "\"";
   os << "]\n}\n";
   return os.str();
 }

@@ -10,34 +10,11 @@
 #include <ostream>
 #include <string>
 
+#include "common/json.h"
+
 namespace wlc::serve {
 
 namespace {
-
-/// JSON string escaper for the few free-form fields (session ids and tenants
-/// are charset-restricted, but outcome strings carry server text).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 int open_append(const std::string& path) {
   return ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
@@ -91,9 +68,9 @@ void RequestLog::append(const Record& rec) {
   line += "{\"ts_us\":";
   line += std::to_string(rec.ts_us);
   line += ",\"session\":\"";
-  line += escape(rec.session);
+  line += common::json_escape(rec.session);
   line += "\",\"tenant\":\"";
-  line += escape(rec.tenant);
+  line += common::json_escape(rec.tenant);
   line += "\",\"opcode\":\"";
   line += rec.opcode;
   line += "\",\"bytes\":";
@@ -101,7 +78,7 @@ void RequestLog::append(const Record& rec) {
   line += ",\"latency_us\":";
   line += std::to_string(rec.latency_us);
   line += ",\"outcome\":\"";
-  line += escape(rec.outcome);
+  line += common::json_escape(rec.outcome);
   line += "\",\"degraded\":";
   line += rec.degraded ? "true" : "false";
   line += "}\n";

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "common/faultfs.h"
+#include "common/json.h"
 #include "obs/obs.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -71,29 +71,6 @@ std::string outcome_of(const Reply& reply) {
     return std::string("rejected:") + to_string(rej->code);
   if (std::holds_alternative<ErrReply>(reply)) return "err";
   return "ok";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
 }
 
 std::int64_t wall_clock_us() {
@@ -236,9 +213,9 @@ struct Server::Impl {
     os << "  \"sessions\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
-      os << (i ? "," : "") << "\n    {\"id\": \"" << json_escape(r.id) << "\", \"tenant\": \""
-         << json_escape(r.tenant) << "\", \"grid_points\": " << r.grid_points
-         << ", \"bytes_cost\": " << r.bytes_cost << ", \"events_seen\": " << r.events_seen
+      os << (i ? "," : "") << "\n    {\"id\": \"" << common::json_escape(r.id)
+         << "\", \"tenant\": \"" << common::json_escape(r.tenant)
+         << "\", \"grid_points\": " << r.grid_points << ", \"bytes_cost\": " << r.bytes_cost << ", \"events_seen\": " << r.events_seen
          << ", \"quarantined\": " << r.quarantined
          << ", \"ready\": " << (r.ready ? "true" : "false")
          << ", \"degraded\": " << (r.degraded ? "true" : "false")
@@ -248,7 +225,7 @@ struct Server::Impl {
     os << "  \"tenants\": {";
     bool first = true;
     for (const auto& [tenant, t] : tenants) {
-      os << (first ? "" : ",") << "\n    \"" << json_escape(tenant)
+      os << (first ? "" : ",") << "\n    \"" << common::json_escape(tenant)
          << "\": {\"sessions\": " << t.sessions << ", \"events_seen\": " << t.events_seen
          << ", \"quarantined\": " << t.quarantined << ", \"grid_points\": " << t.grid_points
          << ", \"bytes_cost\": " << t.bytes_cost << "}";

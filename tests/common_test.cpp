@@ -3,12 +3,28 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 
 namespace wlc::common {
 namespace {
+
+TEST(JsonEscape, PinsEveryControlByteQuoteAndBackslash) {
+  const char* const expected[0x20] = {
+      "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006",
+      "\\u0007", "\\u0008", "\\t",     "\\n",     "\\u000b", "\\u000c", "\\r",
+      "\\u000e", "\\u000f", "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014",
+      "\\u0015", "\\u0016", "\\u0017", "\\u0018", "\\u0019", "\\u001a", "\\u001b",
+      "\\u001c", "\\u001d", "\\u001e", "\\u001f"};
+  for (int b = 0; b < 0x20; ++b)
+    EXPECT_EQ(json_escape(std::string(1, static_cast<char>(b))), expected[b]) << b;
+  EXPECT_EQ(json_escape("\""), "\\\"");
+  EXPECT_EQ(json_escape("\\"), "\\\\");
+  // Everything from 0x20 up, UTF-8 bytes included, passes through.
+  EXPECT_EQ(json_escape("a b/\x7f\xc3\xa9"), "a b/\x7f\xc3\xa9");
+}
 
 TEST(Rng, SameSeedSameStream) {
   Rng a(42);

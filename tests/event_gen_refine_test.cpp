@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.h"
 #include "trace/arrival_extract.h"
@@ -19,6 +20,11 @@ struct PjdCase {
   const char* name;
   PjdModel model;
 };
+
+// Prints the case name, so the ctest names gtest derives from GetParam()
+// are stable across builds (the default printer dumps the raw bytes,
+// including the address of `name`).
+void PrintTo(const PjdCase& c, std::ostream* os) { *os << c.name; }
 
 class PjdConformance : public ::testing::TestWithParam<PjdCase> {};
 

@@ -5,7 +5,7 @@
 #   BENCH_curve_ops.json  — the curve-engine dispatch ladder (naive oracle vs
 #     dense-tiled vs shape fast path vs memo-cache hit) at n ∈ {256, 1024,
 #     4096} on convex/concave operands, the PWL compaction tier (10⁶-point
-#     fit/expand + knot kernels vs the dense fast path), plus the
+#     fit/expand), the dense fast path on blocky convex operands, plus the
 #     PWL/sup-diff paths.
 # Both land at the repo root (google-benchmark format; `context` carries host
 # info — compare speedups only across runs with the same num_cpus).

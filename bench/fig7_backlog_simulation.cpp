@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::cout << "PE2 clocked at F^γ_min = " << common::fmt_f(f_gamma / 1e6, 1) << " MHz; FIFO b = "
             << common::fmt_i(buffer) << " macroblocks\n\n";
 
-  // Phase 2: event-driven simulation per clip (Fig. 7's bars). The extra
+  // Phase 2: pipeline simulation per clip (Fig. 7's bars). The extra
   // "own F" column sizes each clip by its own curves — it isolates how much
   // of the headroom comes from combining curves across clips versus from
   // the bound itself.

@@ -556,7 +556,10 @@ int cmd_simulate(const Options& o, const LoadedTrace& t, std::ostream& out, std:
     err << "simulate needs --mhz <clock>\n";
     return 2;
   }
-  const auto capacity = static_cast<std::int64_t>(o.number("capacity").value_or(0.0));
+  const std::int64_t capacity = o.integer("capacity").value_or(0);
+  if (capacity < 0)
+    throw UsageError("--capacity must be >= 0 events (0 = unbounded), got " +
+                     std::to_string(capacity));
   const sim::PipelineStats s = sim::run_fifo_pipeline(t.events, *mhz * 1e6, capacity);
   common::Table table({"metric", "value"});
   table.add_row({"completed", common::fmt_i(s.completed)});

@@ -3,7 +3,7 @@
 // The paper expresses execution demand in processor cycles and task
 // activations in event counts; both are exact integers here so that curve
 // algebra over them is free of floating-point drift. Simulated wall-clock
-// time is a double in seconds (the discrete-event kernel orders events by
+// time is a double in seconds (the pipeline simulator orders events by
 // it; nanosecond-scale resolution over minutes of simulated time is well
 // within double precision).
 #pragma once

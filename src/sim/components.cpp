@@ -1,101 +1,71 @@
 #include "sim/components.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/assert.h"
 
 namespace wlc::sim {
 
-Fifo::Fifo(std::int64_t capacity) : capacity_(capacity) {
-  WLC_REQUIRE(capacity >= 0, "capacity must be non-negative (0 = unbounded)");
-}
-
-bool Fifo::push(const Item& item) {
-  if (capacity_ > 0 && size() >= capacity_) {
-    ++overflows_;
-    return false;
-  }
-  items_.push_back(item);
-  max_backlog_ = std::max(max_backlog_, size());
-  return true;
-}
-
-Item Fifo::pop() {
-  WLC_REQUIRE(!items_.empty(), "pop from empty FIFO");
-  Item item = items_.front();
-  items_.pop_front();
-  return item;
-}
-
-TraceSource::TraceSource(Simulator& sim, Fifo& out, std::function<void()> on_arrival)
-    : sim_(sim), out_(out), on_arrival_(std::move(on_arrival)) {}
-
-void TraceSource::load(const trace::EventTrace& events) {
-  WLC_REQUIRE(trace::is_time_ordered(events), "trace must be time-ordered");
-  for (const auto& e : events) {
-    WLC_REQUIRE(e.demand >= 0, "demands must be non-negative");
-    sim_.schedule(e.time, [this, e] {
-      out_.push(Item{e.time, e.demand});
-      if (on_arrival_) on_arrival_();
-    });
-  }
-}
-
-PeServer::PeServer(Simulator& sim, Fifo& in, Hertz frequency)
-    : sim_(sim), in_(in), frequency_(frequency) {
-  WLC_REQUIRE(frequency > 0.0, "PE frequency must be positive");
-}
-
-void PeServer::set_dvs_policy(DvsPolicy policy) {
-  WLC_REQUIRE(policy != nullptr, "policy must be callable");
-  dvs_ = std::move(policy);
-}
-
-void PeServer::kick() {
-  if (!busy_) start_next();
-}
-
-void PeServer::start_next() {
-  if (in_.empty()) {
-    busy_ = false;
-    return;
-  }
-  // The policy sees the backlog before the pop (the item it will serve plus
-  // everything queued behind it).
-  const Hertz f = dvs_ ? dvs_(in_.size()) : frequency_;
-  WLC_REQUIRE(f > 0.0, "DVS policy returned a non-positive clock");
-  const Item item = in_.pop();
-  busy_ = true;
-  const TimeSec service = static_cast<double>(item.demand) / f;
-  busy_time_ += service;
-  energy_ += static_cast<double>(item.demand) * f * f;  // κ=1, cubic power law
-  sim_.schedule_in(service, [this, item] {
-    ++completed_;
-    max_latency_ = std::max(max_latency_, sim_.now() - item.arrival);
-    start_next();
-  });
-}
-
 namespace {
 
 PipelineStats run_pipeline(const trace::EventTrace& events, Hertz frequency,
-                           PeServer::DvsPolicy policy, std::int64_t capacity) {
-  Simulator sim;
-  Fifo fifo(capacity);
-  PeServer server(sim, fifo, frequency);
-  if (policy) server.set_dvs_policy(std::move(policy));
-  TraceSource source(sim, fifo, [&server] { server.kick(); });
-  source.load(events);
-  sim.run();
+                           const DvsPolicy& policy, std::int64_t capacity) {
+  WLC_REQUIRE(capacity >= 0, "capacity must be non-negative (0 = unbounded)");
+  WLC_REQUIRE(frequency > 0.0, "PE frequency must be positive");
+  WLC_REQUIRE(trace::is_time_ordered(events), "trace must be time-ordered");
+  // The whole trace is checked before the policy is first called.
+  for (const auto& e : events) {
+    WLC_REQUIRE(e.demand >= 0, "demands must be non-negative");
+    WLC_REQUIRE(e.time >= 0.0, "trace timestamps must be non-negative");
+  }
 
   PipelineStats stats;
-  stats.max_backlog = fifo.max_backlog();
-  stats.overflows = fifo.overflows();
-  stats.completed = server.completed();
-  stats.makespan = sim.now();
-  stats.max_latency = server.max_latency();
-  stats.utilization = stats.makespan > 0.0 ? server.busy_time() / stats.makespan : 0.0;
-  stats.energy = server.energy();
+  std::vector<std::size_t> fifo;  // indices into events; [head, end) are waiting
+  fifo.reserve(events.size());
+  std::size_t head = 0;
+  bool busy = false;
+  std::size_t serving = 0;  // item in service while busy
+  TimeSec done = 0.0;       // its completion instant
+  TimeSec now = 0.0;
+  TimeSec busy_time = 0.0;
+
+  const auto start_next = [&] {
+    busy = head < fifo.size();
+    if (!busy) return;
+    const Hertz f = policy ? policy(static_cast<std::int64_t>(fifo.size() - head)) : frequency;
+    WLC_REQUIRE(f > 0.0, "DVS policy returned a non-positive clock");
+    serving = fifo[head++];
+    const double demand = static_cast<double>(events[serving].demand);
+    const TimeSec service = demand / f;
+    busy_time += service;
+    stats.energy += demand * f * f;  // κ=1, cubic power law
+    done = now + service;
+  };
+  const auto complete = [&] {
+    now = done;
+    ++stats.completed;
+    stats.max_latency = std::max(stats.max_latency, now - events[serving].time);
+    start_next();
+  };
+
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    // A completion at this arrival's own instant runs after it.
+    while (busy && done < events[i].time) complete();
+    now = events[i].time;
+    const auto waiting = static_cast<std::int64_t>(fifo.size() - head);
+    if (capacity > 0 && waiting >= capacity) {
+      ++stats.overflows;
+      continue;
+    }
+    fifo.push_back(i);
+    stats.max_backlog = std::max(stats.max_backlog, waiting + 1);
+    if (!busy) start_next();
+  }
+  while (busy) complete();
+
+  stats.makespan = now;
+  stats.utilization = stats.makespan > 0.0 ? busy_time / stats.makespan : 0.0;
   return stats;
 }
 
@@ -106,54 +76,10 @@ PipelineStats run_fifo_pipeline(const trace::EventTrace& events, Hertz frequency
   return run_pipeline(events, frequency, nullptr, capacity);
 }
 
-PipelineStats run_dvs_pipeline(const trace::EventTrace& events, PeServer::DvsPolicy policy,
+PipelineStats run_dvs_pipeline(const trace::EventTrace& events, DvsPolicy policy,
                                std::int64_t capacity) {
   WLC_REQUIRE(policy != nullptr, "DVS pipeline needs a policy");
-  return run_pipeline(events, 1.0, std::move(policy), capacity);
-}
-
-PipelineStats queue_recursion_pipeline(const trace::EventTrace& events, Hertz frequency) {
-  WLC_REQUIRE(frequency > 0.0, "PE frequency must be positive");
-  WLC_REQUIRE(trace::is_time_ordered(events), "trace must be time-ordered");
-  const std::size_t n = events.size();
-  PipelineStats stats;
-  if (n == 0) return stats;
-
-  std::vector<TimeSec> start(n);
-  std::vector<TimeSec> finish(n);
-  TimeSec prev_finish = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    start[i] = std::max(events[i].time, prev_finish);
-    finish[i] = start[i] + static_cast<double>(events[i].demand) / frequency;
-    prev_finish = finish[i];
-    stats.max_latency = std::max(stats.max_latency, finish[i] - events[i].time);
-  }
-  stats.completed = static_cast<std::int64_t>(n);
-  stats.makespan = finish.back();
-  double busy = 0.0;
-  for (const auto& e : events) {
-    busy += static_cast<double>(e.demand) / frequency;
-    stats.energy += static_cast<double>(e.demand) * frequency * frequency;
-  }
-  stats.utilization = stats.makespan > 0.0 ? busy / stats.makespan : 0.0;
-
-  // Backlog high-water mark at arrival instants, reproducing the event-driven
-  // ordering: when item i is pushed, every earlier item that *started* before
-  // t_i has left the FIFO, as has any same-instant earlier arrival that went
-  // straight into service; a queued item whose service starts exactly at t_i
-  // leaves only after the push (completion events are processed after
-  // same-time arrivals).
-  std::int64_t popped = 0;  // two-pointer over the non-decreasing start[]
-  for (std::size_t i = 0; i < n; ++i) {
-    while (static_cast<std::size_t>(popped) < i &&
-           (start[static_cast<std::size_t>(popped)] < events[i].time ||
-            (start[static_cast<std::size_t>(popped)] == events[i].time &&
-             events[static_cast<std::size_t>(popped)].time == events[i].time)))
-      ++popped;
-    const std::int64_t backlog = static_cast<std::int64_t>(i) + 1 - popped;
-    stats.max_backlog = std::max(stats.max_backlog, backlog);
-  }
-  return stats;
+  return run_pipeline(events, 1.0, policy, capacity);
 }
 
 }  // namespace wlc::sim

@@ -1,108 +1,32 @@
-// Transaction-level components for streaming-architecture simulation:
-// trace-driven source → FIFO → frequency-scaled PE server. Together they
-// model the paper's Fig. 5 right half (the FIFO in front of PE2 and PE2
-// itself) and measure the backlogs of Fig. 7.
+// Trace-driven simulation of the paper's Fig. 5 right half: the FIFO in
+// front of PE2 and PE2 itself, a work-conserving single server at a fixed
+// or frequency-scaled clock. It measures the backlogs of Fig. 7.
+//
+// The queue only changes state at arrival and completion instants, so the
+// simulator is one merge of the arrival stream with the single pending
+// completion. Its tie rule: at equal timestamps every arrival is handled
+// before the completion, so an item finishing exactly when others arrive is
+// still counted as in service while they are queued. The event-driven oracle
+// in tests/sim_oracle.h orders its events the same way, and the tests pin
+// this loop to it bit for bit.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <limits>
 
 #include "common/types.h"
-#include "sim/kernel.h"
 #include "trace/traces.h"
 
 namespace wlc::sim {
 
-/// Work item flowing through the pipeline (a macroblock in the case study).
-struct Item {
-  TimeSec arrival = 0.0;
-  Cycles demand = 0;
-};
+/// Clock chosen per item from the FIFO backlog at service start: the item
+/// about to be served plus everything queued behind it. A threshold policy
+/// models the usual two-mode DVS governor.
+using DvsPolicy = std::function<Hertz(std::int64_t backlog)>;
 
-/// Bounded FIFO with a high-water mark. capacity == 0 means unbounded (used
-/// to observe how far a backlog *would* grow).
-class Fifo {
- public:
-  explicit Fifo(std::int64_t capacity = 0);
-
-  /// Returns false (and counts an overflow) if the buffer is full.
-  bool push(const Item& item);
-  bool empty() const { return items_.empty(); }
-  std::int64_t size() const { return static_cast<std::int64_t>(items_.size()); }
-  Item pop();
-
-  std::int64_t capacity() const { return capacity_; }
-  std::int64_t max_backlog() const { return max_backlog_; }
-  std::int64_t overflows() const { return overflows_; }
-
- private:
-  std::int64_t capacity_;
-  std::deque<Item> items_;
-  std::int64_t max_backlog_ = 0;
-  std::int64_t overflows_ = 0;
-};
-
-/// Emits a fixed item sequence into a FIFO at the items' arrival times and
-/// pokes the server on every arrival.
-class TraceSource {
- public:
-  TraceSource(Simulator& sim, Fifo& out, std::function<void()> on_arrival);
-
-  /// Schedules the whole trace (arrival times must be non-decreasing).
-  void load(const trace::EventTrace& events);
-
- private:
-  Simulator& sim_;
-  Fifo& out_;
-  std::function<void()> on_arrival_;
-};
-
-/// Work-conserving PE: whenever idle and the FIFO is non-empty, pops one
-/// item and busies itself for demand/frequency seconds.
-///
-/// Optionally frequency-scaled: a DvsPolicy picks the clock for each item
-/// from the backlog it sees at service start (a threshold policy models the
-/// usual two-mode DVS governor). Energy is accounted per item as
+/// Result of one pipeline run. Energy is accounted per item as
 /// demand · f^(e-1) (normalized κ = 1, e = 3; see rtc/energy.h) so constant-
 /// clock and DVS runs can be compared directly.
-class PeServer {
- public:
-  /// Clock chosen per item from the FIFO backlog at service start.
-  using DvsPolicy = std::function<Hertz(std::int64_t backlog)>;
-
-  PeServer(Simulator& sim, Fifo& in, Hertz frequency);
-
-  /// Replaces the fixed clock by a DVS policy.
-  void set_dvs_policy(DvsPolicy policy);
-
-  /// Call when new work may be available (TraceSource's on_arrival).
-  void kick();
-
-  std::int64_t completed() const { return completed_; }
-  TimeSec busy_time() const { return busy_time_; }
-  /// Worst item sojourn (pop-to-done plus queueing) observed so far.
-  TimeSec max_latency() const { return max_latency_; }
-  /// Normalized energy consumed so far (κ = 1, cubic power law).
-  double energy() const { return energy_; }
-
- private:
-  void start_next();
-
-  Simulator& sim_;
-  Fifo& in_;
-  Hertz frequency_;
-  DvsPolicy dvs_;
-  bool busy_ = false;
-  std::int64_t completed_ = 0;
-  TimeSec busy_time_ = 0.0;
-  TimeSec max_latency_ = 0.0;
-  double energy_ = 0.0;
-};
-
-/// One-call pipeline: plays `events` into a FIFO of `capacity` (0 =
-/// unbounded) served by a PE at `frequency`; runs to drain.
 struct PipelineStats {
   std::int64_t max_backlog = 0;   ///< items, high-water mark
   std::int64_t overflows = 0;     ///< items dropped (bounded FIFO only)
@@ -113,19 +37,14 @@ struct PipelineStats {
   double energy = 0.0;            ///< normalized (κ=1, cubic power law)
 };
 
+/// Plays `events` into a FIFO of `capacity` (0 = unbounded) served by a PE
+/// at `frequency`; runs to drain. An arrival that finds `capacity` items
+/// waiting is dropped and counted as an overflow.
 PipelineStats run_fifo_pipeline(const trace::EventTrace& events, Hertz frequency,
                                 std::int64_t capacity = 0);
 
-/// Frequency-scaled variant: the PE picks its clock per item via `policy`
-/// (see PeServer::DvsPolicy).
-PipelineStats run_dvs_pipeline(const trace::EventTrace& events, PeServer::DvsPolicy policy,
+/// Frequency-scaled variant: the PE picks its clock per item via `policy`.
+PipelineStats run_dvs_pipeline(const trace::EventTrace& events, DvsPolicy policy,
                                std::int64_t capacity = 0);
-
-/// Analytic cross-check of run_fifo_pipeline for the unbounded FIFO: the
-/// classic single-server queue recursion
-///   finish_i = max(arrival_i, finish_{i-1}) + demand_i/frequency,
-/// with the backlog high-water mark evaluated at arrival instants.
-/// Tests assert it agrees with the event-driven simulation exactly.
-PipelineStats queue_recursion_pipeline(const trace::EventTrace& events, Hertz frequency);
 
 }  // namespace wlc::sim

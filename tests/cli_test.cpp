@@ -174,6 +174,36 @@ TEST(Cli, RejectsFractionalThreadCounts) {
   EXPECT_NE(err2.str().find("--jobs"), std::string::npos);
 }
 
+TEST(Cli, SimulateRejectsFractionalCapacity) {
+  // "--capacity 2.5" used to run silently as capacity 2.
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"simulate", fixture("polling_clean.csv"), "--mhz", "1", "--capacity", "2.5"},
+                out, err),
+            2);
+  EXPECT_NE(err.str().find("--capacity"), std::string::npos);
+  EXPECT_NE(err.str().find("integer"), std::string::npos);
+  EXPECT_EQ(out.str().find("max backlog"), std::string::npos);
+}
+
+TEST(Cli, SimulateRejectsNegativeCapacity) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"simulate", fixture("polling_clean.csv"), "--mhz", "1", "--capacity", "-1"},
+                out, err),
+            2);
+  EXPECT_NE(err.str().find("--capacity must be >= 0"), std::string::npos);
+  EXPECT_NE(err.str().find("usage:"), std::string::npos);
+}
+
+TEST(Cli, SimulateRefusesNegativeTimestamps) {
+  const test::TestTmpDir tmp;
+  const std::string path = tmp.file("negative.csv");
+  std::ofstream(path) << "time,type,demand\n-0.5,0,100\n0.1,0,200\n0.2,0,100\n";
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"simulate", path, "--mhz", "1"}, out, err), 1);
+  EXPECT_NE(err.str().find("trace timestamps must be non-negative"), std::string::npos)
+      << err.str();
+}
+
 TEST(CliValidate, CleanTraceExitsZero) {
   const test::TestTmpDir tmp;
   std::ostringstream out, err;
